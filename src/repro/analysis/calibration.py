@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..cache.set_assoc import SetAssociativeCache
-from ..cache.shared_l2 import SharedL2Cache
+from ..cache.shared_l2 import replay_shared_fraction
 from ..workloads.address_stream import MemoryAccess
 from ..workloads.parsec_like import ParsecLikeWorkload
 from ..workloads.stack_distance import MissCurve, StackDistanceProfiler
@@ -40,6 +40,10 @@ def measure_miss_curve(
     warmup_stream: Optional[Iterable[MemoryAccess]] = None,
 ) -> MissCurve:
     """Miss rates at every capacity from a single stack-distance pass.
+
+    ``stream`` (and ``warmup_stream``) may be
+    :class:`~repro.workloads.address_stream.TraceColumns` — the fast
+    path — or any iterable of accesses.
 
     Exact for fully-associative LRU caches; the paper's power-law fits
     are capacity-driven, so this is the measurement of record (the
@@ -152,16 +156,18 @@ def measure_sharing_fraction(
     cache_bytes: int = 2 * 1024 * 1024,
     line_bytes: int = _DEFAULT_LINE_BYTES,
 ) -> float:
-    """Figure 14's measurement: % of shared L2 lines with >= 2 sharers."""
-    cache = SharedL2Cache(
+    """Figure 14's measurement: % of shared L2 lines with >= 2 sharers.
+
+    Exactly what a :class:`~repro.cache.shared_l2.SharedL2Cache` of
+    ``cache_bytes`` reports after replaying the workload, computed from
+    the whole trace at once.
+    """
+    return replay_shared_fraction(
+        workload.columns(accesses),
         size_bytes=cache_bytes,
         num_cores=workload.num_threads,
         line_bytes=line_bytes,
     )
-    for access in workload.accesses(accesses):
-        cache.access(access.address, core_id=access.core_id,
-                     is_write=access.is_write)
-    return cache.shared_line_fraction()
 
 
 def sharing_vs_cores(

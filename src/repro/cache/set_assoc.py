@@ -15,15 +15,81 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
+from ..workloads.stack_distance import stack_distances
 from .block import AccessResult, CacheLine
 from .replacement import LRUPolicy, ReplacementPolicy
 from .stats import CacheStats
 
-__all__ = ["SetAssociativeCache"]
+__all__ = ["SetAssociativeCache", "lru_misses"]
 
 
 def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
+
+
+def _set_count(size_bytes: int, line_bytes: int, associativity: int) -> int:
+    """Sets of a cache geometry; raises :class:`ValueError` unless the
+    geometry is ``line_bytes * associativity * sets`` with power-of-two
+    line size and set count."""
+    if size_bytes <= 0:
+        raise ValueError(f"size_bytes must be positive, got {size_bytes}")
+    if not _is_power_of_two(line_bytes):
+        raise ValueError(f"line_bytes must be a power of two, got {line_bytes}")
+    if associativity <= 0:
+        raise ValueError(
+            f"associativity must be positive, got {associativity}"
+        )
+    lines = size_bytes // line_bytes
+    if lines == 0 or lines * line_bytes != size_bytes:
+        raise ValueError(
+            f"size_bytes={size_bytes} is not a whole number of "
+            f"{line_bytes}-byte lines"
+        )
+    if lines < associativity:
+        raise ValueError(
+            f"{lines} lines cannot form even one {associativity}-way set"
+        )
+    num_sets = lines // associativity
+    if not _is_power_of_two(num_sets):
+        raise ValueError(
+            f"derived set count {num_sets} is not a power of two; adjust "
+            "size or associativity"
+        )
+    if num_sets * associativity != lines:
+        raise ValueError(
+            f"{lines} lines do not divide evenly into {num_sets} sets"
+        )
+    return num_sets
+
+
+def lru_misses(addresses: np.ndarray, size_bytes: int,
+               line_bytes: int = 64, associativity: int = 8) -> np.ndarray:
+    """Miss flags of a whole trace replayed into an empty LRU cache.
+
+    Equals replaying ``addresses`` (uint64) through
+    ``SetAssociativeCache(size_bytes, line_bytes, associativity)`` one
+    :meth:`~SetAssociativeCache.access` at a time, computed offline: a
+    set holds its ``associativity`` most recently used lines, so an
+    access hits exactly when its stack distance *within its set* is at
+    most the associativity.  A stable sort by set keeps each set's
+    accesses in order, and :func:`stack_distances` on that sequence
+    gives those per-set distances.
+    """
+    num_sets = _set_count(size_bytes, line_bytes, associativity)
+    lines = np.asarray(addresses, dtype=np.uint64) \
+        >> np.uint64(line_bytes.bit_length() - 1)
+    sets = (lines & np.uint64(num_sets - 1)).astype(
+        np.min_scalar_type(num_sets - 1))
+    order = np.argsort(sets, kind="stable").astype(np.int32)
+    lines = lines[order]
+    del sets
+    distances = stack_distances(lines)
+    del lines
+    misses = np.empty(len(distances), dtype=bool)
+    misses[order] = (distances == 0) | (distances > associativity)
+    return misses
 
 
 class SetAssociativeCache:
@@ -62,38 +128,11 @@ class SetAssociativeCache:
         policy: Optional[ReplacementPolicy] = None,
         word_bytes: int = 8,
     ) -> None:
-        if size_bytes <= 0:
-            raise ValueError(f"size_bytes must be positive, got {size_bytes}")
-        if not _is_power_of_two(line_bytes):
-            raise ValueError(f"line_bytes must be a power of two, got {line_bytes}")
-        if associativity <= 0:
-            raise ValueError(
-                f"associativity must be positive, got {associativity}"
-            )
         if not _is_power_of_two(word_bytes) or word_bytes > line_bytes:
             raise ValueError(
                 f"word_bytes must be a power of two <= line_bytes, got {word_bytes}"
             )
-        lines = size_bytes // line_bytes
-        if lines == 0 or lines * line_bytes != size_bytes:
-            raise ValueError(
-                f"size_bytes={size_bytes} is not a whole number of "
-                f"{line_bytes}-byte lines"
-            )
-        if lines < associativity:
-            raise ValueError(
-                f"{lines} lines cannot form even one {associativity}-way set"
-            )
-        num_sets = lines // associativity
-        if not _is_power_of_two(num_sets):
-            raise ValueError(
-                f"derived set count {num_sets} is not a power of two; adjust "
-                "size or associativity"
-            )
-        if num_sets * associativity != lines:
-            raise ValueError(
-                f"{lines} lines do not divide evenly into {num_sets} sets"
-            )
+        num_sets = _set_count(size_bytes, line_bytes, associativity)
 
         self.size_bytes = size_bytes
         self.line_bytes = line_bytes

@@ -9,18 +9,22 @@ whose lines already carry sharer sets.
 
 ``shared_line_fraction()`` is the figure's y-axis ("% of Shared Cache
 Lines"); call :meth:`drain` first so lines still resident at the end of
-the run contribute their residency too.
+the run contribute their residency too.  :func:`replay_shared_fraction`
+computes the same number for a whole trace at once.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
+from ..workloads.address_stream import TraceColumns
 from .replacement import ReplacementPolicy
-from .set_assoc import SetAssociativeCache
+from .set_assoc import SetAssociativeCache, lru_misses
 from .stats import CacheStats
 
-__all__ = ["SharedL2Cache"]
+__all__ = ["SharedL2Cache", "replay_shared_fraction"]
 
 
 class SharedL2Cache:
@@ -84,3 +88,37 @@ class SharedL2Cache:
     @property
     def miss_rate(self) -> float:
         return self.stats.miss_rate
+
+
+def replay_shared_fraction(
+    trace: TraceColumns,
+    size_bytes: int,
+    num_cores: int,
+    line_bytes: int = 64,
+    associativity: int = 16,
+) -> float:
+    """``SharedL2Cache(...).shared_line_fraction()`` after replaying
+    ``trace``, computed offline from the LRU miss flags.
+
+    A residency is a line's accesses from one miss up to its next miss
+    (or the end of the trace, which the final drain closes), so every
+    miss ends exactly one residency.  Sorting accesses by line (stably,
+    so each line's accesses stay in time order) makes every residency a
+    contiguous run starting at a miss; it is shared when its accesses
+    come from at least two cores.
+    """
+    if num_cores <= 0:
+        raise ValueError(f"num_cores must be positive, got {num_cores}")
+    cores = trace.core_id
+    if len(cores) and not 0 <= cores.min() <= cores.max() < num_cores:
+        raise ValueError(f"core ids out of range for {num_cores} cores")
+    misses = lru_misses(trace.address, size_bytes, line_bytes,
+                        associativity)
+    order = np.argsort(trace.lines(line_bytes), kind="stable")
+    starts = np.flatnonzero(misses[order])
+    if not len(starts):
+        raise ValueError("no evictions recorded")
+    by_line = cores[order]
+    shared = np.minimum.reduceat(by_line, starts) \
+        != np.maximum.reduceat(by_line, starts)
+    return int(np.count_nonzero(shared)) / len(starts)

@@ -4,9 +4,11 @@ Section 6.3 argues smaller cache lines cut traffic both directly (fewer
 unused bytes moved) and indirectly (no space wasted on unused words),
 at the cost of more misses.  The analytical model encodes that as the
 dual ``1/(1-f)`` factor; this experiment measures the raw trade by
-running the same sparse-spatial-locality workload through the
-set-associative simulator at line sizes from 16B to 256B and reporting
-misses and fetched bytes per access.
+running the same sparse-spatial-locality workload through an 8-way LRU
+cache at line sizes from 16B to 256B and reporting misses and fetched
+bytes per access.  The miss flags come from the offline per-set
+stack-distance replay (:func:`~repro.cache.set_assoc.lru_misses`),
+identical to replaying the trace through the set-associative simulator.
 
 Expected shape (asserted by the bench): fetched bytes per access *rise*
 with line size on a workload that uses few words per line — the waste
@@ -18,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
+
 from ..analysis.series import FigureData, Series
-from ..cache.set_assoc import SetAssociativeCache
+from ..cache.set_assoc import lru_misses
 from ..workloads.stack_distance import PowerLawTraceGenerator
 
 __all__ = ["ExtLineSizeResult", "run"]
@@ -47,25 +51,21 @@ def run(
     The workload touches ``touched_words_per_64b`` of every 8 words in
     a 64-byte region, mimicking the paper's ~40-75% unused-data setting.
     """
+    trace = PowerLawTraceGenerator(
+        alpha=alpha,
+        working_set_lines=1 << 13,   # 64B-granularity regions
+        line_bytes=64,               # generator's region granularity
+        touched_words=touched_words_per_64b,
+        write_fraction=0.2,
+        seed=seed,
+    ).columns(accesses)
     by_line_size: Dict[int, Tuple[float, float]] = {}
     for line_size in line_sizes:
-        generator = PowerLawTraceGenerator(
-            alpha=alpha,
-            working_set_lines=1 << 13,   # 64B-granularity regions
-            line_bytes=64,               # generator's region granularity
-            touched_words=touched_words_per_64b,
-            write_fraction=0.2,
-            seed=seed,
-        )
-        cache = SetAssociativeCache(
-            size_bytes=cache_bytes, line_bytes=line_size, associativity=8
-        )
-        for access in generator.accesses(accesses):
-            cache.access(access.address, is_write=access.is_write)
-        stats = cache.stats
+        misses = int(np.count_nonzero(lru_misses(
+            trace.address, cache_bytes, line_size, associativity=8)))
         by_line_size[line_size] = (
-            stats.miss_rate,
-            stats.bytes_fetched / stats.accesses,
+            misses / accesses,
+            misses * line_size / accesses,
         )
     figure = FigureData(
         figure_id="Ext-LineSize",

@@ -40,7 +40,9 @@ def run(
     by_cores: Dict[int, Tuple[float, float, float]] = {}
     for cores in core_counts:
         workload = ParsecLikeWorkload(num_threads=cores, seed=seed)
-        accesses = list(workload.accesses(accesses_per_core * cores))
+        # Columns, iterated once per organisation: 13 bytes per access
+        # where a list of records holds a ~100-byte object per access.
+        accesses = workload.columns(accesses_per_core * cores)
 
         shared = SharedL2Cache(size_bytes=total_cache_bytes,
                                num_cores=cores)

@@ -73,12 +73,12 @@ def run_shard(
                 def factory(s=spec):
                     return s.generator(
                         working_set_lines=working_set_lines
-                    ).accesses(accesses)
+                    ).columns(accesses)
 
                 def warmup(s=spec):
                     return s.generator(
                         working_set_lines=working_set_lines
-                    ).warmup_accesses()
+                    ).warmup_columns()
 
                 return validate_traffic_prediction(
                     factory, warmup_factory=warmup
@@ -87,7 +87,7 @@ def run_shard(
         name = key[len(_SPEC_PREFIX):]
         if any(name == n for n, _, _ in SPEC2006_WORKLOADS):
             def factory(n=name):
-                return spec2006_generator(n, seed=2).accesses(accesses)
+                return spec2006_generator(n, seed=2).columns(accesses)
 
             return validate_traffic_prediction(
                 factory,

@@ -97,15 +97,15 @@ def run_shard(
                     working_set_lines=working_set_lines
                 )
                 return measure_miss_curve(
-                    generator.accesses(accesses),
+                    generator.columns(accesses),
                     line_counts,
-                    warmup_stream=generator.warmup_accesses(),
+                    warmup_stream=generator.warmup_columns(),
                 )
     elif key.startswith(_SPEC_PREFIX):
         name = key[len(_SPEC_PREFIX):]
         if any(name == n for n, _, _ in SPEC2006_WORKLOADS):
             generator = spec2006_generator(name, seed=11)
-            return measure_miss_curve(generator.accesses(accesses),
+            return measure_miss_curve(generator.columns(accesses),
                                       line_counts)
     raise KeyError(f"unknown Figure 1 shard {key!r}; valid: {shard_keys()}")
 

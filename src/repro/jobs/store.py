@@ -163,7 +163,10 @@ class JobStore:
     def _open(self) -> sqlite3.Connection:
         conn = sqlite3.connect(str(self.path), timeout=30.0)
         conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA journal_mode=WAL")
+        # Switching to WAL needs the file to itself; a store already in
+        # WAL (every open after the first) must not race for that.
+        if conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+            conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         return conn
 

@@ -27,7 +27,7 @@ from typing import List, Optional, Union
 
 from ..jobs.store import JobStore
 from ..jobs.worker import Worker
-from .procutil import supervise
+from .procutil import hold_stop_signals, release_stop_signals, supervise
 
 __all__ = ["run_fleet"]
 
@@ -77,6 +77,7 @@ def run_fleet(state_dir: Union[str, Path], *, processes: int,
               f"{injector.profile.name!r} "
               f"(seed {injector.profile.seed})", flush=True)
     pids: List[int] = []
+    hold_stop_signals()  # released once each process has its handlers
     for _ in range(processes):
         pid = os.fork()
         if pid == 0:
@@ -104,6 +105,7 @@ def _fleet_child(worker: Worker, state_dir: Union[str, Path], *,
 
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, request_stop)
+    release_stop_signals()
     # worker.worker_id is pid-stamped here: this child's leases are
     # owned by "<base>@<pid>", distinct from every sibling's.
     print(f"fleet worker {worker.worker_id} polling {state_dir}",

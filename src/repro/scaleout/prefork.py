@@ -20,7 +20,10 @@ there is no window where the port is bound by nobody.
 Shutdown is the single-process contract, fanned out: SIGTERM to the
 supervisor forwards SIGTERM to every child; each child drains HTTP and
 its job workers exactly like ``serve`` does, and the supervisor exits
-0 only when every child drained cleanly.
+0 only when every child drained cleanly.  Stop signals are held from
+before the first fork until each process installed its handlers, so a
+SIGTERM during start-up is forwarded too, never fatal to the supervisor
+alone (see :mod:`repro.scaleout.procutil`).
 
 What is shared and what is not
 ------------------------------
@@ -46,6 +49,7 @@ import time
 import traceback
 from typing import List, Optional
 
+from ..jobs.store import JobStore
 from ..service.app import (
     BandwidthWallService,
     RunningService,
@@ -53,7 +57,8 @@ from ..service.app import (
     _RequestHandler,
     _ServiceHTTPServer,
 )
-from .procutil import supervise
+from .procutil import hold_stop_signals, release_stop_signals, supervise
+from .shared_cache import SharedCacheTier
 
 __all__ = ["create_listening_socket", "serve_prefork"]
 
@@ -120,8 +125,18 @@ def serve_prefork(config: ServiceConfig) -> int:
         # (tests exercise it on platforms where reuseport would win).
         prefer_reuseport = reuseport_active(listener) \
             and not os.environ.get("REPRO_SCALEOUT_NO_REUSEPORT")
+        # Create the job store's and the tier's files, schemas and WAL
+        # mode once, before any child exists: children switching a
+        # fresh file to WAL at once can fail with "database is locked".
+        # The handles are closed here, so none crosses the fork.
+        JobStore(config.state_dir).close()
+        if config.shared_cache_dir is not None:
+            SharedCacheTier(config.shared_cache_dir).close()
         read_fd, write_fd = os.pipe()
         pids: List[int] = []
+        # A stop signal from here on waits for the handlers: each
+        # child's, and the supervisor's in supervise().
+        hold_stop_signals()
         for index in range(config.processes):
             pid = os.fork()
             if pid == 0:
@@ -215,6 +230,12 @@ def _child_main(config: ServiceConfig, inherited: socket.socket,
         # Closing the child's copy of the inherited fd; the socket
         # itself stays open in the supervisor and any fallback sibling.
         inherited.close()
+    else:
+        # Siblings accept on this same socket, so every connection
+        # wakes them all and only one wins it.  A blocking accept()
+        # would park the losers until the next connection, and their
+        # drain (server.shutdown() waits for the accept loop) with it.
+        accept_socket.setblocking(False)
 
     service = BandwidthWallService(config)
     server = _ServiceHTTPServer(
@@ -230,6 +251,7 @@ def _child_main(config: ServiceConfig, inherited: socket.socket,
 
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, request_stop)
+    release_stop_signals()
     os.write(ready_fd, b"r")
     os.close(ready_fd)
     print(f"scale-out worker {index} (pid {os.getpid()}) accepting via "

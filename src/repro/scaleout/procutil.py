@@ -5,6 +5,14 @@ them, reap everything, and report whether the group ended cleanly.
 The server treats a child exiting on its own as a failure (servers run
 until told to stop); a ``--once`` worker fleet treats it as the normal
 drained-queue exit.
+
+A stop signal can arrive while the group is still starting, before
+anyone's handler is installed, where its default action would kill the
+supervisor and orphan the children.  So supervisors call
+:func:`hold_stop_signals` before forking: the signal stays pending in
+every process of the group until that process installed its handlers
+and called :func:`release_stop_signals` (:func:`supervise` does so for
+the supervisor).
 """
 
 from __future__ import annotations
@@ -15,7 +23,21 @@ import threading
 import time
 from typing import Dict, Sequence, Tuple
 
-__all__ = ["supervise"]
+__all__ = ["hold_stop_signals", "release_stop_signals", "supervise"]
+
+#: Signals that stop a supervised group.
+STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+def hold_stop_signals() -> None:
+    """Block the stop signals in the calling thread (inherited by forks)."""
+    signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
+
+
+def release_stop_signals() -> None:
+    """Unblock the stop signals; one that arrived meanwhile is delivered
+    now, to the handlers installed before this call."""
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
 
 
 def supervise(pids: Sequence[int], *, exit_expected: bool,
@@ -23,11 +45,12 @@ def supervise(pids: Sequence[int], *, exit_expected: bool,
     """Babysit forked children until all are reaped.
 
     SIGTERM/SIGINT to the supervisor forwards SIGTERM to every live
-    child; children still alive ``kill_deadline`` seconds later are
-    SIGKILLed.  Returns ``(exit codes by pid, clean)`` — clean meaning
-    every child exited 0 and, unless ``exit_expected``, none exited
-    before a stop was requested.  The caller's signal handlers are
-    restored on return.
+    child (including one held since before the fork, released here
+    once the handler is in place); children still alive
+    ``kill_deadline`` seconds later are SIGKILLed.  Returns ``(exit
+    codes by pid, clean)`` — clean meaning every child exited 0 and,
+    unless ``exit_expected``, none exited before a stop was requested.
+    The caller's signal handlers are restored on return.
     """
     stopping = threading.Event()
     unexpected = False
@@ -36,8 +59,9 @@ def supervise(pids: Sequence[int], *, exit_expected: bool,
     def request_stop(signum, frame) -> None:
         stopping.set()
 
-    for signum in (signal.SIGTERM, signal.SIGINT):
+    for signum in STOP_SIGNALS:
         previous[signum] = signal.signal(signum, request_stop)
+    release_stop_signals()
     codes: Dict[int, int] = {}
     forwarded = False
     kill_at = float("inf")

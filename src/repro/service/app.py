@@ -775,7 +775,9 @@ class BandwidthWallService:
                 key, lambda: scenario_payload(solve_scenario(request)),
                 wait_timeout=self._flight_wait(),
             )
-        except (BracketError, ValueError) as error:
+        except (BracketError, ValueError, OverflowError) as error:
+            # OverflowError: an alpha so steep the traffic model leaves
+            # float range has no representable solution either.
             raise UnsolvableError(str(error)) from None
         return self._json_response(payload)
 
@@ -787,7 +789,7 @@ class BandwidthWallService:
                 key, lambda: self._compute_sweep(request),
                 wait_timeout=self._flight_wait(),
             )
-        except (BracketError, ValueError) as error:
+        except (BracketError, ValueError, OverflowError) as error:
             raise UnsolvableError(str(error)) from None
         return self._json_response(payload)
 

@@ -2,11 +2,12 @@
 
 The measurement of record is Mattson stack-distance profiling
 (:class:`~repro.workloads.stack_distance.StackDistanceProfiler`): one
-O(log n)-per-access pass yields the exact fully-associative LRU miss
-rate at *every* capacity simultaneously.  A set-associative simulator
-(:func:`cross_check_curve`) replays the same trace through a realistic
-organisation — one run per capacity — so tests can bound how far finite
-associativity bends the curve the fits consume.
+offline kernel run over the whole trace yields the exact
+fully-associative LRU miss rate at *every* capacity simultaneously.  A
+set-associative simulator (:func:`cross_check_curve`) replays the same
+trace through a realistic organisation — one run per capacity — so
+tests can bound how far finite associativity bends the curve the fits
+consume.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ def simulate_trace(
 ) -> TraceSimulation:
     """Profile a trace and evaluate its miss curve at every capacity.
 
+    ``stream`` and ``warmup`` are
+    :class:`~repro.workloads.address_stream.TraceColumns` or any
+    iterables of :class:`MemoryAccess`; both give identical results.
     ``warmup`` accesses are recorded (they warm the LRU recency state)
     and then dropped from the statistics, so measurement starts
     stationary; ``exclude_cold`` additionally drops residual compulsory

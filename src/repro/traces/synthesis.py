@@ -32,9 +32,12 @@ Sources
 from __future__ import annotations
 
 import random
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
-from ..workloads.address_stream import MemoryAccess
+import numpy as np
+
+from ..workloads import bulk_random
+from ..workloads.address_stream import MemoryAccess, TraceColumns
 from ..workloads.stack_distance import PowerLawTraceGenerator
 from ..workloads.trace_io import read_trace
 
@@ -54,12 +57,17 @@ SYNTHETIC_SOURCES = ("powerlaw", "sequential", "strided", "sharing")
 
 
 class TraceStreams(NamedTuple):
-    """One unit's simulator input: streams plus measurement policy."""
+    """One unit's simulator input: streams plus measurement policy.
+
+    Synthetic sources return :class:`TraceColumns`; a ``file`` source
+    returns the file's lazy record iterator.  The simulator accepts
+    either (and any other iterable of :class:`MemoryAccess`).
+    """
 
     #: Recorded-then-discarded prefix (warm stack), or ``None``.
-    warmup: Optional[Iterator[MemoryAccess]]
+    warmup: Optional[Iterable[MemoryAccess]]
     #: The measured access stream.
-    stream: Iterator[MemoryAccess]
+    stream: Iterable[MemoryAccess]
     #: Drop compulsory misses from the curve (stationary measurement)?
     exclude_cold: bool
     #: Human-readable unit label for payloads and reports.
@@ -85,7 +93,7 @@ def _sharing_stream(
     working_set_lines: int,
     line_bytes: int,
     seed: int,
-) -> Iterator[MemoryAccess]:
+) -> TraceColumns:
     """Round-robin threads over one shared and ``cores`` private mixes.
 
     Every stream is an un-prefilled :class:`PowerLawTraceGenerator`:
@@ -94,35 +102,42 @@ def _sharing_stream(
     region's size is constant, each thread adds a private region, so
     the per-access compulsory rate *declines* as cores grow — the
     trace-level mirror of Figure 14's declining shared-line fraction.
+
+    Access ``i`` belongs to thread ``i % cores`` and takes the next
+    access of the shared stream when the selector's ``i``-th draw is
+    below :data:`_SHARED_FRACTION`, else the next of its thread's own
+    stream; each stream is generated for exactly the accesses it serves.
     """
     total = accesses_per_core * cores
     private_lines = max(2, (working_set_lines * 5) // 8)
-    shared_iter = PowerLawTraceGenerator(
+    selector = random.Random(seed ^ 0xCA5E)
+    shared = bulk_random.uniforms(selector, total) < _SHARED_FRACTION
+    thread = (np.arange(total) % cores).astype(np.int32)
+    address = np.empty(total, dtype=np.uint64)
+    is_write = np.empty(total, dtype=bool)
+
+    def serve(mask: np.ndarray, generator: PowerLawTraceGenerator) -> None:
+        served = generator.columns(int(np.count_nonzero(mask)))
+        address[mask] = served.address
+        is_write[mask] = served.is_write
+
+    serve(shared, PowerLawTraceGenerator(
         alpha=_SHARING_ALPHA,
         working_set_lines=working_set_lines,
         line_bytes=line_bytes,
         seed=seed * 1_000_003 + 1,
         prefill=False,
-    ).accesses(total)
-    private_iters = [
-        PowerLawTraceGenerator(
+    ))
+    for core in range(cores):
+        serve(~shared & (thread == core), PowerLawTraceGenerator(
             alpha=_SHARING_ALPHA,
             working_set_lines=private_lines,
             line_bytes=line_bytes,
-            seed=seed * 1_000_003 + 2 + thread,
-            address_base=(thread + 1) * _PRIVATE_REGION_STRIDE * line_bytes,
+            seed=seed * 1_000_003 + 2 + core,
+            address_base=(core + 1) * _PRIVATE_REGION_STRIDE * line_bytes,
             prefill=False,
-        ).accesses(total)
-        for thread in range(cores)
-    ]
-    selector = random.Random(seed ^ 0xCA5E)
-    for index in range(total):
-        thread = index % cores
-        if selector.random() < _SHARED_FRACTION:
-            access = next(shared_iter)
-        else:
-            access = next(private_iters[thread])
-        yield MemoryAccess(access.address, access.is_write, thread)
+        ))
+    return TraceColumns(address, is_write, thread)
 
 
 def _scan_stream(
@@ -130,11 +145,15 @@ def _scan_stream(
     working_set_lines: int,
     line_bytes: int,
     stride: int,
-) -> Iterator[MemoryAccess]:
+) -> TraceColumns:
     """Cyclic strided scan: line ``(i * stride) % working_set_lines``."""
-    for i in range(accesses):
-        line = (i * stride) % working_set_lines
-        yield MemoryAccess(line * line_bytes, False, 0)
+    # (i * stride) mod W without overflow: i and stride mod W stay small.
+    lines = (np.arange(accesses, dtype=np.uint64)
+             * np.uint64(stride % working_set_lines)) \
+        % np.uint64(working_set_lines)
+    return TraceColumns(lines * np.uint64(line_bytes),
+                        np.zeros(accesses, dtype=bool),
+                        np.zeros(accesses, dtype=np.int32))
 
 
 def trace_source_streams(
@@ -162,8 +181,8 @@ def trace_source_streams(
             seed=seed,
         )
         return TraceStreams(
-            warmup=generator.warmup_accesses(),
-            stream=generator.accesses(accesses),
+            warmup=generator.warmup_columns(),
+            stream=generator.columns(accesses),
             exclude_cold=True,
             label=f"alpha={float(unit):g}",
         )

@@ -20,7 +20,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .address_stream import MemoryAccess
+import numpy as np
+
+from . import bulk_random
+from .address_stream import MemoryAccess, TraceColumns
 
 __all__ = ["ParsecLikeWorkload"]
 
@@ -81,40 +84,53 @@ class ParsecLikeWorkload:
         if self.shared_skew < 1 or self.private_skew < 1:
             raise ValueError("skew exponents must be >= 1")
 
-    def _private_base_line(self, thread: int) -> int:
-        return (thread + 1) * _PRIVATE_REGION_STRIDE
-
-    def accesses(self, count: int) -> Iterator[MemoryAccess]:
-        """Yield ``count`` accesses, round-robin across threads.
+    def _chunks(self, count: int) -> Iterator[TraceColumns]:
+        """``count`` accesses, round-robin across threads, as chunks.
 
         Each thread's accesses are drawn hot-first: line index
         ``floor(u^(1/skew) * region)`` with a skew favouring low indices,
-        which gives every region internal temporal locality.
+        which gives every region internal temporal locality.  Each access
+        draws ``random()`` (shared?), ``random()`` (line), ``randrange(8)``
+        (word) and ``random()`` (store?) from one generator.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         rng = random.Random(self.seed)
-        for i in range(count):
-            thread = i % self.num_threads
-            if rng.random() < self.shared_access_fraction:
-                base = 0
-                region = self.shared_lines
-                skew = self.shared_skew
-            else:
-                base = self._private_base_line(thread)
-                region = self.private_lines_per_thread
-                skew = self.private_skew
+        for start in range(0, count, bulk_random.CHUNK):
+            size = min(bulk_random.CHUNK, count - start)
+            heads, words, tails = bulk_random.records(rng, size, 2, 8, 1)
+            thread = np.arange(start, start + size) % self.num_threads
+            shared = heads[:, 0] < self.shared_access_fraction
             # Skewed index: power the uniform to concentrate on the hot
-            # front of the region (temporal locality).
-            line = base + int(rng.random() ** skew * region)
-            address = line * self.line_bytes + 8 * rng.randrange(8)
-            yield MemoryAccess(
-                address, rng.random() < self.write_fraction, thread
-            )
+            # front of the region (temporal locality), in python floats
+            # as numpy's pow may round differently.
+            offsets = np.empty(size, dtype=np.int64)
+            for mask, skew, region in (
+                    (shared, self.shared_skew, self.shared_lines),
+                    (~shared, self.private_skew,
+                     self.private_lines_per_thread)):
+                offsets[mask] = [int(u ** skew * region)
+                                 for u in heads[mask, 1].tolist()]
+            base = np.where(shared, 0,
+                            (thread + 1) * _PRIVATE_REGION_STRIDE)
+            line = (base + offsets).astype(np.uint64)
+            address = line * np.uint64(self.line_bytes) \
+                + np.uint64(8) * words.astype(np.uint64)
+            yield TraceColumns(address, tails[:, 0] < self.write_fraction,
+                               thread)
+
+    def columns(self, count: int) -> TraceColumns:
+        """The first ``count`` accesses as columns."""
+        return TraceColumns.concat(list(self._chunks(count)))
+
+    def accesses(self, count: int) -> Iterator[MemoryAccess]:
+        """Yield ``count`` accesses: :meth:`columns` one at a time."""
+        for chunk in self._chunks(count):
+            yield from chunk
 
     def __iter__(self) -> Iterator[MemoryAccess]:
         while True:
-            yield from self.accesses(1 << 14)
+            yield from self.accesses(bulk_random.CHUNK)
 
     @property
     def total_footprint_lines(self) -> int:

@@ -19,7 +19,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
-from .address_stream import MemoryAccess
+import numpy as np
+
+from . import bulk_random
+from .address_stream import MemoryAccess, TraceColumns
 
 __all__ = ["DiscreteWorkingSetGenerator", "SPEC2006_WORKLOADS", "spec2006_generator"]
 
@@ -89,37 +92,65 @@ class DiscreteWorkingSetGenerator:
         """Total distinct lines the stream can touch."""
         return self.regions[-1].lines
 
-    def accesses(self, count: int) -> Iterator[MemoryAccess]:
-        """Yield ``count`` accesses."""
+    def _chunks(self, count: int) -> Iterator[TraceColumns]:
+        """``count`` accesses as consecutive column chunks.
+
+        Each access draws ``random()`` (region pick), ``randrange`` (word
+        in line) and ``random()`` (store?) from the one generator.
+        """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        rng = self._rng
         words_per_line = self.line_bytes // self.word_bytes
-        for _ in range(count):
-            pick = rng.random()
-            cumulative = 0.0
-            region_index = len(self.regions) - 1
-            for idx, region in enumerate(self.regions):
-                cumulative += region.weight
-                if pick < cumulative:
-                    region_index = idx
-                    break
-            region = self.regions[region_index]
-            # Sweep the region sequentially; sequential reuse is what
+        # The running sums the region pick is compared against, in the
+        # same float additions as a per-access scan would make.
+        thresholds = []
+        cumulative = 0.0
+        for region in self.regions:
+            cumulative += region.weight
+            thresholds.append(cumulative)
+        last = len(self.regions) - 1
+        for start in range(0, count, bulk_random.CHUNK):
+            size = min(bulk_random.CHUNK, count - start)
+            heads, words, tails = bulk_random.records(
+                self._rng, size, 1, words_per_line, 1)
+            # The first region whose running sum exceeds the pick (else
+            # the last): assigning from the last down, the first wins.
+            region_index = np.full(size, last, dtype=np.int64)
+            for index in range(last, -1, -1):
+                region_index[heads[:, 0] < thresholds[index]] = index
+            # Sweep each region sequentially; sequential reuse is what
             # produces the plateau-and-cliff miss curve.
-            line = self._cursors[region_index]
-            self._cursors[region_index] = (line + 1) % region.lines
-            word = rng.randrange(words_per_line)
-            address = (
-                self.address_base
-                + line * self.line_bytes
-                + word * self.word_bytes
-            )
-            yield MemoryAccess(address, rng.random() < self.write_fraction, 0)
+            lines = np.empty(size, dtype=np.int64)
+            for index, region in enumerate(self.regions):
+                members = np.flatnonzero(region_index == index)
+                cursor = self._cursors[index]
+                lines[members] = (cursor + np.arange(len(members))) \
+                    % region.lines
+                self._cursors[index] = (cursor + len(members)) \
+                    % region.lines
+            address = (np.uint64(self.address_base)
+                       + lines.astype(np.uint64) * np.uint64(self.line_bytes)
+                       + words.astype(np.uint64)
+                       * np.uint64(self.word_bytes))
+            yield TraceColumns(address, tails[:, 0] < self.write_fraction,
+                               np.zeros(size, dtype=np.int32))
+
+    def columns(self, count: int) -> TraceColumns:
+        """The next ``count`` accesses as columns."""
+        return TraceColumns.concat(list(self._chunks(count)))
+
+    def accesses(self, count: int) -> Iterator[MemoryAccess]:
+        """Yield ``count`` accesses: :meth:`columns` one at a time.
+
+        Draws are made a chunk (:data:`bulk_random.CHUNK` accesses) at a
+        time, so stopping early leaves the draws at the chunk's end.
+        """
+        for chunk in self._chunks(count):
+            yield from chunk
 
     def __iter__(self) -> Iterator[MemoryAccess]:
         while True:
-            yield from self.accesses(1 << 14)
+            yield from self.accesses(bulk_random.CHUNK)
 
 
 #: Eight SPEC-like apps with staggered working sets: name -> (region

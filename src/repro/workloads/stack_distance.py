@@ -11,50 +11,39 @@ paper builds on (Section 4.1).  This lets us synthesise workloads with a
 *chosen* alpha and then re-measure that alpha independently with a cache
 simulator, closing the loop the paper closed with real traces.
 
-Two tools live here:
+Three tools live here:
 
 * :class:`ParetoStackDistanceSampler` + :class:`PowerLawTraceGenerator` —
   synthesis;
-* :class:`StackDistanceProfiler` — an exact O(log n)-per-access Mattson
-  profiler (Fenwick tree over access times) that produces miss rates for
-  *every* cache size from a single pass over a trace.
+* :func:`stack_distances` — the exact offline LRU kernel: every
+  access's stack distance at once, in O(n log n) numpy passes;
+* :class:`StackDistanceProfiler` — that kernel behind an incremental
+  interface, producing miss rates for *every* cache size from a single
+  pass over a trace.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .address_stream import MemoryAccess
+import numpy as np
 
-try:  # optional, like repro.core.vectorized — stdlib-only still works
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships in the test env
-    _np = None
-
-#: Accesses pulled from a stream per profiling batch.  Big enough that
-#: the per-batch numpy shift and the hoisted-local Fenwick loop
-#: amortise, small enough to keep streaming memory flat.
-_STREAM_BATCH = 8192
-
-
-def _numpy_active() -> bool:
-    """Batch through numpy?  Honours ``REPRO_VECTORIZED=off`` so one
-    switch disables every vectorized path in the process."""
-    if _np is None:
-        return False
-    from ..core import vectorized
-
-    return vectorized.mode() != "off"
+from . import bulk_random
+from .address_stream import MemoryAccess, TraceColumns, as_columns
 
 __all__ = [
     "ParetoStackDistanceSampler",
     "PowerLawTraceGenerator",
     "StackDistanceProfiler",
     "MissCurve",
+    "stack_distances",
 ]
+
+#: Accesses per kernel run when profiling a long stream: bounds the
+#: kernel's temporaries (about 40 bytes per access) for file traces.
+_KERNEL_BATCH = 1 << 20
 
 
 class ParetoStackDistanceSampler:
@@ -96,9 +85,17 @@ class ParetoStackDistanceSampler:
 
     def sample(self) -> int:
         """One Pareto-tailed integer distance (may exceed ``maximum``)."""
-        u = self._rng.random()
+        return self.samples(1)[0]
+
+    def samples(self, count: int) -> List[int]:
+        """The next ``count`` distances, as ``count`` :meth:`sample`
+        calls would return them."""
+        minimum = self.minimum
+        exponent = -1.0 / self.alpha
         # Inverse CDF of the continuous Pareto, floored to an integer.
-        return int(self.minimum * u ** (-1.0 / self.alpha))
+        # Evaluated by python floats: numpy's pow may round differently.
+        return [int(minimum * u ** exponent)
+                for u in bulk_random.uniforms(self._rng, count).tolist()]
 
     def survival(self, distance: float) -> float:
         """``P(D > distance)`` of the untruncated distribution."""
@@ -190,12 +187,21 @@ class PowerLawTraceGenerator:
         )
         self._rng = random.Random(seed ^ 0x5EED)
 
-    def _line_is_written(self, line: int) -> bool:
+    def _written(self, lines: np.ndarray) -> np.ndarray:
         """Deterministic per-line write classification (Knuth hash)."""
-        hashed = (line * 2654435761) & 0xFFFFFFFF
-        return hashed / 2**32 < self.write_fraction
+        hashed = (lines.astype(np.uint64) * np.uint64(2654435761)) \
+            & np.uint64(0xFFFFFFFF)
+        return hashed.astype(np.float64) / 2**32 < self.write_fraction
 
-    def warmup_accesses(self) -> Iterator[MemoryAccess]:
+    def _columns(self, lines: np.ndarray, words: np.ndarray
+                 ) -> TraceColumns:
+        address = (np.uint64(self.address_base)
+                   + lines.astype(np.uint64) * np.uint64(self.line_bytes)
+                   + words.astype(np.uint64) * np.uint64(self.word_bytes))
+        return TraceColumns(address, self._written(lines),
+                            np.zeros(len(lines), dtype=np.int32))
+
+    def warmup_columns(self) -> TraceColumns:
         """One access per working-set line, deepest-first.
 
         Feeding this sweep to a cache or profiler (and then resetting its
@@ -204,107 +210,201 @@ class PowerLawTraceGenerator:
         access's reuse distance is exactly the sampled Pareto distance,
         with no warmup transient and no compulsory misses.
         """
-        for line in range(self.working_set_lines - 1, -1, -1):
-            yield MemoryAccess(
-                self.address_base + line * self.line_bytes,
-                self._line_is_written(line),
-                0,
-            )
+        lines = np.arange(self.working_set_lines - 1, -1, -1,
+                          dtype=np.int64)
+        return self._columns(lines, np.zeros(len(lines), dtype=np.int64))
 
-    def accesses(self, count: int) -> Iterator[MemoryAccess]:
-        """Yield ``count`` accesses."""
+    def warmup_accesses(self) -> Iterator[MemoryAccess]:
+        """:meth:`warmup_columns` one access at a time."""
+        return iter(self.warmup_columns())
+
+    def _chunks(self, count: int) -> Iterator[TraceColumns]:
+        """``count`` accesses as consecutive column chunks."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
+        working_set = self.working_set_lines
         if self.prefill:
             # Whole working set resident, coldest first (line 0 ends up
             # deepest so fresh lines still enter at sensible depths).
-            stack: List[int] = list(range(self.working_set_lines - 1, -1, -1))
-            next_line = self.working_set_lines
+            stack: List[int] = list(range(working_set - 1, -1, -1))
+            next_line = working_set
         else:
             stack = []  # most recent at the END (cheap append/pop)
             next_line = 0
-        rng = self._rng
-        sampler = self._sampler
-        for _ in range(count):
-            distance = sampler.sample()
-            if distance <= len(stack):
-                line = stack[-distance]
-                if distance > 1:
-                    del stack[-distance]
+        for start in range(0, count, bulk_random.CHUNK):
+            size = min(bulk_random.CHUNK, count - start)
+            lines = []
+            append = lines.append
+            for distance in self._sampler.samples(size):
+                if distance <= len(stack):
+                    line = stack[-distance]
+                    if distance > 1:
+                        del stack[-distance]
+                        stack.append(line)
+                elif next_line < working_set:
+                    line = next_line
+                    next_line += 1
                     stack.append(line)
-            elif next_line < self.working_set_lines:
-                line = next_line
-                next_line += 1
-                stack.append(line)
-            else:
-                # Working set exhausted: treat as a touch of the coldest
-                # line (the far tail of the reuse distribution).
-                line = stack[0]
-                del stack[0]
-                stack.append(line)
-            word = rng.randrange(self.touched_words)
-            address = (
-                self.address_base
-                + line * self.line_bytes
-                + word * self.word_bytes
-            )
-            yield MemoryAccess(address, self._line_is_written(line), 0)
+                else:
+                    # Working set exhausted: treat as a touch of the
+                    # coldest line (the far tail of the reuse
+                    # distribution).
+                    line = stack[0]
+                    del stack[0]
+                    stack.append(line)
+                append(line)
+            words = bulk_random.below(self._rng, self.touched_words, size)
+            yield self._columns(np.array(lines, dtype=np.int64), words)
+
+    def columns(self, count: int) -> TraceColumns:
+        """The next ``count`` accesses as columns."""
+        return TraceColumns.concat(list(self._chunks(count)))
+
+    def accesses(self, count: int) -> Iterator[MemoryAccess]:
+        """Yield ``count`` accesses: :meth:`columns` one at a time.
+
+        Draws are made a chunk (:data:`bulk_random.CHUNK` accesses) at a
+        time, so stopping early leaves the draws at the chunk's end.
+        """
+        for chunk in self._chunks(count):
+            yield from chunk
 
     def __iter__(self) -> Iterator[MemoryAccess]:
         """Iterate indefinitely (callers bound with ``take``)."""
         while True:
-            yield from self.accesses(1 << 14)
+            yield from self.accesses(bulk_random.CHUNK)
 
 
-class _Fenwick:
-    """Fenwick tree of counts over access-time slots."""
+# ----------------------------------------------------------------------
+# The offline LRU kernel
+# ----------------------------------------------------------------------
 
-    __slots__ = ("_tree", "size")
 
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self._tree = [0] * (size + 1)
+def _previous_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Index of each element's previous equal element, or -1 (int32).
 
-    def add(self, index: int, delta: int) -> None:
-        i = index + 1
-        while i <= self.size:
-            self._tree[i] += delta
-            i += i & (-i)
+    One stable argsort groups equal keys with their positions ascending,
+    so each element's predecessor in its group is its previous
+    occurrence.
+    """
+    if len(keys) >= 1 << 31:
+        raise ValueError("stack-distance kernel is limited to 2**31 accesses")
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    ordered = keys[order]
+    repeat = ordered[1:] == ordered[:-1]
+    previous = np.full(len(keys), -1, dtype=np.int32)
+    previous[order[1:][repeat]] = order[:-1][repeat]
+    return previous
 
-    def prefix_sum(self, index: int) -> int:
-        """Sum of entries [0, index]."""
-        i = index + 1
-        total = 0
-        while i > 0:
-            total += self._tree[i]
-            i -= i & (-i)
-        return total
+
+def _moved(array: np.ndarray, destination: np.ndarray) -> np.ndarray:
+    """``array`` scattered to ``destination`` (a permutation)."""
+    moved = np.empty_like(array)
+    moved[destination] = array
+    return moved
+
+
+def _smaller_before(values: np.ndarray) -> np.ndarray:
+    """``#{k < i : values[k] < values[i]}`` for every ``i`` (int32).
+
+    A wavelet-matrix rank, answered for all ``i`` at once: one level per
+    bit of the values, most significant first.  Each level stably moves
+    elements whose bit is 0 before those whose bit is 1, and each query
+    ``[0, i)`` rides with element ``i``, whose position is the query's
+    right end at every level.  Where the query's bit is 1, the range's
+    elements with bit 0 are smaller (same higher bits, lower here) and
+    are counted; the range then narrows to the elements sharing the bit.
+    """
+    size = len(values)
+    counts = np.zeros(size, dtype=np.int32)
+    low = np.zeros(size, dtype=np.int32)  # each range's left end
+    origin = np.arange(size, dtype=np.int32)
+    position = np.arange(size, dtype=np.int32)
+    zeros_before = np.zeros(size + 1, dtype=np.int32)
+    for bit in range(int(values.max(initial=0)).bit_length() - 1, -1, -1):
+        zeros = ((values >> bit) & 1) == 0
+        ones = ~zeros
+        np.cumsum(zeros, out=zeros_before[1:])
+        total = zeros_before[-1]
+        at_low = zeros_before[low]
+        at_high = zeros_before[:-1]
+        # Where the bit is 1, count the range's zeros.
+        np.add(counts, at_high, out=counts, where=ones)
+        np.subtract(counts, at_low, out=counts, where=ones)
+        # Both the range's left end and the element move to the next
+        # level's order: zeros keep their rank among zeros, ones follow
+        # all zeros in their rank among ones.
+        low -= at_low
+        low += total
+        np.copyto(low, at_low, where=zeros)
+        destination = position - at_high
+        destination += total
+        np.copyto(destination, at_high, where=zeros)
+        del zeros, ones, at_low
+        values = _moved(values, destination)
+        counts = _moved(counts, destination)
+        low = _moved(low, destination)
+        origin = _moved(origin, destination)
+    result = np.empty(size, dtype=np.int32)
+    result[origin] = counts
+    return result
+
+
+def _distances(previous: np.ndarray) -> np.ndarray:
+    """Stack distances from previous occurrences (0 = first access).
+
+    Access ``i`` with previous occurrence ``p`` has distance ``1 + #{k in
+    (p, i) : p_k < p}`` (each line touched in between counts once, at
+    its first touch there).  Every ``k <= p`` has ``p_k < k <= p``, so
+    that is ``#{k < i : p_k < p} - p``: one dominance count over ``p``.
+    """
+    shifted = previous + 1  # non-negative, same order
+    distances = _smaller_before(shifted) - previous
+    distances[previous < 0] = 0
+    return distances
+
+
+def stack_distances(keys: np.ndarray) -> np.ndarray:
+    """Exact LRU stack distance of every access in ``keys`` (int32).
+
+    ``keys`` holds one line address (any integer key) per access; the
+    result is 1 for an immediate re-reference, ``d`` when ``d - 1``
+    distinct other lines were touched since the line's previous access,
+    and 0 for a line's first access.  A fully-associative LRU cache of
+    ``W`` lines hits exactly the accesses with ``1 <= distance <= W``;
+    run on a set-sorted sequence, the distances are per set, which is
+    set-associative LRU (:func:`repro.cache.set_assoc.lru_misses`).
+    """
+    return _distances(_previous_occurrences(np.asarray(keys)))
 
 
 class StackDistanceProfiler:
-    """Exact Mattson stack-distance profiling in O(log n) per access.
+    """Exact Mattson stack-distance profiling over the offline kernel.
 
-    Feed line-granularity addresses with :meth:`record`; the profiler
-    maintains a Fenwick tree of "is this time slot the latest access to
-    some line" flags, so a re-reference's stack distance is one range
-    query.  After the pass, :meth:`miss_curve` evaluates the miss rate
-    at any set of cache sizes — simultaneously, from one histogram.
+    Feed line-granularity addresses with :meth:`record` or whole streams
+    with :meth:`record_stream`.  The profiler keeps the LRU stack (the
+    distinct lines seen, least recent first) and a histogram of stack
+    distances.  Each batch runs :func:`stack_distances` on the stack
+    followed by the batch: the stack replays every line's recency, so
+    the batch's distances equal those of the whole history.  After the
+    pass, :meth:`miss_curve` evaluates the miss rate at any set of cache
+    sizes — simultaneously, from one histogram.
     """
 
     #: Stack distance reported for a line's first-ever access.
     COLD = math.inf
 
     def __init__(self, expected_accesses: int = 1 << 20) -> None:
+        # ``expected_accesses`` is a sizing hint kept for callers; the
+        # kernel allocates per batch and needs none.
         if expected_accesses < 1:
             raise ValueError(
                 f"expected_accesses must be positive, got {expected_accesses}"
             )
-        self._capacity = expected_accesses
-        self._fenwick = _Fenwick(expected_accesses)
-        self._last_time: Dict[int, int] = {}
-        self._time = 0
-        self._histogram: Dict[int, int] = {}
-        self._cold = 0
+        #: Distinct lines seen, least recently used first.
+        self._stack = np.empty(0, dtype=np.uint64)
+        #: Accesses per stack distance; index 0 counts cold misses.
+        self._histogram = np.zeros(1, dtype=np.int64)
         self.accesses = 0
 
     def reset_statistics(self) -> None:
@@ -313,133 +413,80 @@ class StackDistanceProfiler:
         Use after feeding a warmup stream: subsequent measurements see a
         warm stack without the warmup's cold misses.
         """
-        self._histogram = {}
-        self._cold = 0
+        self._histogram = np.zeros(1, dtype=np.int64)
         self.accesses = 0
 
-    def _grow(self) -> None:
-        new = _Fenwick(self._capacity * 2)
-        for addr, t in self._last_time.items():
-            new.add(t, 1)
-        self._fenwick = new
-        self._capacity *= 2
+    def _record_lines(self, lines: np.ndarray) -> np.ndarray:
+        """Record a batch of line addresses; returns their distances."""
+        sequence = np.concatenate((self._stack, lines))
+        previous = _previous_occurrences(sequence)
+        distances = _distances(previous)[len(self._stack):]
+        latest = np.ones(len(sequence), dtype=bool)
+        latest[previous[previous >= 0]] = False
+        self._stack = sequence[latest]
+        counts = np.bincount(distances)
+        if len(counts) > len(self._histogram):
+            counts[:len(self._histogram)] += self._histogram
+            self._histogram = counts.astype(np.int64)
+        else:
+            self._histogram[:len(counts)] += counts
+        self.accesses += len(lines)
+        return distances
 
     def record(self, line_address: int) -> float:
         """Record one access; returns its stack distance (1 = stack top,
-        ``COLD`` for a first access)."""
-        if self._time >= self._capacity:
-            self._grow()
-        self.accesses += 1
-        previous = self._last_time.get(line_address)
-        if previous is None:
-            distance: float = self.COLD
-            self._cold += 1
-        else:
-            # Lines whose latest access is strictly after `previous` are
-            # above this line in the stack; +1 counts the line itself.
-            above = (
-                self._fenwick.prefix_sum(self._time - 1)
-                - self._fenwick.prefix_sum(previous)
-            )
-            distance = above + 1
-            self._fenwick.add(previous, -1)
-            self._histogram[int(distance)] = (
-                self._histogram.get(int(distance), 0) + 1
-            )
-        self._fenwick.add(self._time, 1)
-        self._last_time[line_address] = self._time
-        self._time += 1
-        return distance
+        ``COLD`` for a first access).
 
-    def _record_lines(self, lines: Sequence[int]) -> None:
-        """Record a batch of line addresses with the inner loops inlined.
-
-        Same integer arithmetic as :meth:`record` — dict lookups,
-        Fenwick range query, histogram update — with the method-call
-        overhead hoisted out, so the histogram (and therefore every
-        miss curve) is identical to the one-at-a-time path.
+        Each call is a kernel run over the whole current stack (tens to
+        hundreds of microseconds); feed traces through
+        :meth:`record_stream`.
         """
-        while self._time + len(lines) > self._capacity:
-            self._grow()
-        tree = self._fenwick._tree
-        size = self._fenwick.size
-        last = self._last_time
-        last_get = last.get
-        histogram = self._histogram
-        hist_get = histogram.get
-        time = self._time
-        cold = 0
-        for line in lines:
-            previous = last_get(line)
-            if previous is None:
-                cold += 1
-            else:
-                i = time  # prefix_sum(time - 1)
-                above = 0
-                while i > 0:
-                    above += tree[i]
-                    i -= i & (-i)
-                i = previous + 1  # - prefix_sum(previous)
-                while i > 0:
-                    above -= tree[i]
-                    i -= i & (-i)
-                distance = above + 1
-                histogram[distance] = hist_get(distance, 0) + 1
-                i = previous + 1  # fenwick.add(previous, -1)
-                while i <= size:
-                    tree[i] -= 1
-                    i += i & (-i)
-            i = time + 1  # fenwick.add(time, 1)
-            while i <= size:
-                tree[i] += 1
-                i += i & (-i)
-            last[line] = time
-            time += 1
-        self._time = time
-        self._cold += cold
-        self.accesses += len(lines)
+        try:
+            line = np.array([line_address], dtype=np.uint64)
+        except OverflowError:
+            raise ValueError(
+                f"line address {line_address:#x} does not fit in 64 bits"
+            ) from None
+        distance = int(self._record_lines(line)[0])
+        return distance if distance else self.COLD
 
     def record_stream(
         self, stream: Iterable[MemoryAccess], line_bytes: int = 64
     ) -> None:
         """Record every access of a stream at line granularity.
 
-        Streams are consumed in batches: the address-to-line shift runs
-        vectorized when numpy is available, and either way the batch
-        feeds :meth:`_record_lines`' hoisted loop.  All arithmetic is
-        integer, so both paths produce byte-identical histograms (the
-        goldens for the simulation-backed figures pin this).
+        ``stream`` is :class:`TraceColumns` or any iterable of
+        :class:`MemoryAccess`, which is collected into columns first
+        (an address outside ``[0, 2**64)`` raises :class:`ValueError`).
+        Either way the result is the same exact histogram.
         """
-        shift = line_bytes.bit_length() - 1
-        use_numpy = _numpy_active()
-        iterator = iter(stream)
-        while True:
-            batch = list(islice(iterator, _STREAM_BATCH))
-            if not batch:
-                return
-            if use_numpy:
-                try:
-                    addresses = _np.fromiter(
-                        (access.address for access in batch),
-                        dtype=_np.uint64, count=len(batch),
-                    )
-                    lines = (addresses >> _np.uint64(shift)).tolist()
-                except (OverflowError, ValueError):
-                    # Address beyond uint64 (synthetic stress traces):
-                    # integer python handles it exactly.
-                    lines = [access.address >> shift for access in batch]
-            else:
-                lines = [access.address >> shift for access in batch]
-            self._record_lines(lines)
+        columns = as_columns(stream)
+        for start in range(0, len(columns), _KERNEL_BATCH):
+            self._record_lines(
+                columns[start:start + _KERNEL_BATCH].lines(line_bytes))
 
     @property
     def cold_misses(self) -> int:
-        return self._cold
+        return int(self._histogram[0])
 
     @property
     def distinct_lines(self) -> int:
         """Distinct cache lines seen so far (the trace's footprint)."""
-        return len(self._last_time)
+        return len(self._stack)
+
+    def _hits_within(self) -> np.ndarray:
+        """``[d]``: re-references with stack distance at most ``d``."""
+        reuses = self._histogram.copy()
+        reuses[0] = 0
+        return np.cumsum(reuses)
+
+    def _misses(self, hits_within: np.ndarray, cache_lines: int,
+                exclude_cold: bool) -> int:
+        """Integer miss count of a ``cache_lines``-line LRU cache."""
+        reused = int(hits_within[-1])
+        hits = int(hits_within[min(max(cache_lines, 0),
+                                   len(hits_within) - 1)])
+        return reused - hits + (0 if exclude_cold else self.cold_misses)
 
     def miss_rate(self, cache_lines: int, *,
                   exclude_cold: bool = False) -> float:
@@ -454,63 +501,26 @@ class StackDistanceProfiler:
             raise ValueError(f"cache_lines must be >= 1, got {cache_lines}")
         if self.accesses == 0:
             raise ValueError("no accesses recorded")
-        misses = sum(
-            count
-            for distance, count in self._histogram.items()
-            if distance > cache_lines
-        )
-        if not exclude_cold:
-            misses += self._cold
-        return misses / self.accesses
+        return self._misses(self._hits_within(), cache_lines,
+                            exclude_cold) / self.accesses
 
     def miss_curve(self, cache_line_counts: Sequence[int], *,
                    exclude_cold: bool = False) -> "MissCurve":
-        """Miss rates at each capacity, computed from one histogram."""
+        """Miss rates at each capacity, computed from one histogram.
+
+        Numerators are exact integers divided in python floats, so a
+        given trace always yields byte-identical rates.
+        """
         sizes = sorted(set(cache_line_counts))
         if not sizes:
             raise ValueError("need at least one cache size")
-        if _numpy_active() and self._histogram:
-            # Vectorized sweep: sort distances once, cumulate counts,
-            # binary-search every capacity.  Numerators stay integers
-            # and the final division happens in python floats, exactly
-            # like the scalar sweep below — byte-identical rates.
-            distances = _np.fromiter(
-                self._histogram.keys(), dtype=_np.int64,
-                count=len(self._histogram),
-            )
-            counts = _np.fromiter(
-                self._histogram.values(), dtype=_np.int64,
-                count=len(self._histogram),
-            )
-            order = _np.argsort(distances, kind="stable")
-            cumulative = _np.cumsum(counts[order])
-            positions = _np.searchsorted(
-                distances[order], _np.asarray(sizes, dtype=_np.int64),
-                side="right",
-            )
-            total = int(cumulative[-1])
-            cold = 0 if exclude_cold else self._cold
-            rates = tuple(
-                (cold + total
-                 - (int(cumulative[position - 1]) if position else 0))
-                / self.accesses
-                for position in positions
-            )
-            return MissCurve(tuple(sizes), rates)
-        # One sweep over the sorted histogram per curve.
-        distances = sorted(self._histogram)
-        rates = []
-        idx = 0
-        beyond = sum(self._histogram.values())
-        consumed = 0
-        cold = 0 if exclude_cold else self._cold
-        for size in sizes:
-            while idx < len(distances) and distances[idx] <= size:
-                consumed += self._histogram[distances[idx]]
-                idx += 1
-            misses = cold + (beyond - consumed)
-            rates.append(misses / self.accesses)
-        return MissCurve(tuple(sizes), tuple(rates))
+        if self.accesses == 0:
+            raise ValueError("no accesses recorded")
+        hits_within = self._hits_within()
+        return MissCurve(tuple(sizes), tuple(
+            self._misses(hits_within, size, exclude_cold) / self.accesses
+            for size in sizes
+        ))
 
 
 class MissCurve:

@@ -161,3 +161,81 @@ def test_prefork_jobs_drain_through_shared_store(tmp_path):
     finally:
         output = shutdown(process)
     assert process.returncode == 0, output
+
+
+def test_fresh_groups_start_every_child(tmp_path):
+    """Children of a group open one fresh shared tier at once; none may
+    be lost to a "database is locked" race on the journal-mode switch
+    (the supervisor creates the tier before forking)."""
+    groups = [boot(tmp_path / f"group{index}") for index in range(3)]
+    healthy = []
+    try:
+        for _, port in groups:
+            try:
+                wait_healthy(port)
+                healthy.append(True)
+            except AssertionError:
+                healthy.append(False)
+    finally:
+        outputs = [shutdown(process) for process, _ in groups]
+    for (process, _), ok, output in zip(groups, healthy, outputs):
+        assert ok, output
+        assert process.returncode == 0, output
+        assert output.count("accepting via") == 2, output
+        assert "database is locked" not in output, output
+
+
+def _child_pids(pid: int):
+    with open(f"/proc/{pid}/task/{pid}/children") as handle:
+        return [int(child) for child in handle.read().split()]
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/"
+                                       f"{os.getpid()}/children"),
+                    reason="needs /proc/<pid>/task/<pid>/children")
+def test_sigterm_during_startup_stops_every_child(tmp_path):
+    """SIGTERM right after the fork, before any handler is installed:
+    the supervisor must forward it rather than die and orphan the
+    children."""
+    import repro
+
+    log = tmp_path / "serve.log"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    with open(log, "w") as out:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--port", str(free_port()), "--processes", "2",
+             "--job-workers", "1",
+             "--shared-cache-dir", str(tmp_path / "shared"),
+             "--state-dir", str(tmp_path / "jobs")],
+            stdout=out, stderr=subprocess.STDOUT, env=env,
+        )
+    children = []
+    try:
+        limit = time.monotonic() + 30
+        while "listening on" not in log.read_text():
+            assert process.poll() is None, log.read_text()
+            assert time.monotonic() < limit, "no listening line"
+            time.sleep(0.002)
+        children = _child_pids(process.pid)
+        assert len(children) == 2
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=40) == 0, log.read_text()
+        survivors = []
+        for child in children:
+            try:
+                os.kill(child, 0)
+                survivors.append(child)
+            except ProcessLookupError:
+                pass
+        assert not survivors, log.read_text()
+    finally:
+        for child in children:
+            try:
+                os.kill(child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10)

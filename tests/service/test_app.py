@@ -87,6 +87,16 @@ class TestSolve:
         assert response.status == 400
         assert payload["error"]["code"] == "invalid_request"
 
+    def test_overflowing_alpha_is_unsolvable(self, client):
+        """An alpha so steep that the traffic model leaves float range is
+        a well-formed request without a solution (422), not a crash."""
+        with pytest.raises(ServiceError) as excinfo:
+            client.solve(alpha=26)
+        assert excinfo.value.status == 422
+        with pytest.raises(ServiceError) as excinfo:
+            client.sweep(ceas=[32, 64], budgets=[1.0], alpha=26)
+        assert excinfo.value.status == 422
+
     def test_empty_body_uses_defaults(self, client):
         status, raw = client.request("POST", "/v1/solve")
         assert status == 200

@@ -196,53 +196,21 @@ class TestStackDistanceProfiler:
 
 
 class TestVectorizedProfiler:
-    """The numpy-assisted stream/curve paths vs the scalar ones,
-    byte-for-byte (the vectorized.mode() contract)."""
-
-    def _profile(self, mode):
-        from repro.core import vectorized
-
-        previous = vectorized.mode()
-        try:
-            vectorized.configure(mode)
-            gen = PowerLawTraceGenerator(alpha=0.48,
-                                         working_set_lines=2048, seed=7)
-            profiler = StackDistanceProfiler()
-            profiler.record_stream(gen.warmup_accesses())
-            profiler.reset_statistics()
-            profiler.record_stream(gen.accesses(25_000))
-            curve = profiler.miss_curve([2**k for k in range(3, 12)])
-            return (profiler.accesses, profiler.cold_misses,
-                    profiler.distinct_lines,
-                    tuple(rate.hex() for rate in curve.miss_rates))
-        finally:
-            vectorized.configure(previous)
-
-    def test_forced_and_scalar_paths_identical(self):
-        from repro.core import vectorized
-
-        if not vectorized.has_numpy():
-            pytest.skip("numpy not installed")
-        assert self._profile("force") == self._profile("off")
+    """The profiler's stream and single-record paths.  The kernel behind
+    both is checked against a Fenwick oracle in ``test_array_path``."""
 
     def test_wide_addresses_fall_back_cleanly(self):
-        """Addresses past uint64 must not crash or truncate in the
-        batched address conversion."""
-        from repro.core import vectorized
+        """Addresses past uint64 are refused with a typed error before
+        anything is recorded, as trace files refuse them."""
         from repro.workloads.address_stream import MemoryAccess
 
-        previous = vectorized.mode()
-        try:
-            vectorized.configure("force")
-            profiler = StackDistanceProfiler()
-            accesses = [MemoryAccess((1 << 70) + i * 64, False, 0)
-                        for i in range(5)] * 2
+        profiler = StackDistanceProfiler()
+        accesses = [MemoryAccess((1 << 70) + i * 64, False, 0)
+                    for i in range(5)] * 2
+        with pytest.raises(ValueError, match="64 bits"):
             profiler.record_stream(iter(accesses))
-            assert profiler.cold_misses == 5
-            assert profiler.accesses == 10
-            assert profiler.distinct_lines == 5
-        finally:
-            vectorized.configure(previous)
+        assert profiler.accesses == 0
+        assert profiler.distinct_lines == 0
 
     def test_stream_batching_matches_single_records(self):
         gen = PowerLawTraceGenerator(alpha=0.5, working_set_lines=512,
