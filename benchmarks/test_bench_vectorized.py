@@ -10,16 +10,10 @@ benchmark suite.
 
 import time
 
-import pytest
-
 from repro.core import memo, vectorized
 from repro.core.area import ChipDesign
 from repro.core.scaling import BandwidthWallModel
 from repro.core.techniques import NEUTRAL_EFFECT
-
-pytestmark = pytest.mark.skipif(
-    not vectorized.has_numpy(), reason="numpy not installed"
-)
 
 GRID_SIDE = 40  # 1600 points, one model — a typical sweep chunk load
 

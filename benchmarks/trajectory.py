@@ -134,9 +134,8 @@ def measure_solver() -> Dict[str, Any]:
     pairs = _fig1_grid()
     total = sum(len(queries) for _, queries in pairs)
     with memo.disabled():
-        if vectorized.has_numpy():
-            # Warm numpy (BLAS/eigvals init) outside the timed region.
-            vectorized.solve_batch(pairs[0][0], pairs[0][1][:32])
+        # Warm numpy (BLAS/eigvals init) outside the timed region.
+        vectorized.solve_batch(pairs[0][0], pairs[0][1][:32])
         # Best-of-N on both sides to shave scheduler noise off the
         # speedup ratio; the vectorized pass is cheap, so it gets an
         # extra repetition.
@@ -149,26 +148,20 @@ def measure_solver() -> Dict[str, Any]:
             scalar_elapsed = min(scalar_elapsed,
                                  time.perf_counter() - start)
 
-        vectorized_elapsed = None
-        if vectorized.has_numpy():
-            vectorized_elapsed = math.inf
-            for _ in range(3):
-                start = time.perf_counter()
-                for model, queries in pairs:
-                    vectorized.solve_batch(model, queries)
-                vectorized_elapsed = min(vectorized_elapsed,
-                                         time.perf_counter() - start)
+        vectorized_elapsed = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            for model, queries in pairs:
+                vectorized.solve_batch(model, queries)
+            vectorized_elapsed = min(vectorized_elapsed,
+                                     time.perf_counter() - start)
 
-    section: Dict[str, Any] = {
+    return {
         "grid_points": total,
         "scalar_solves_per_sec": round(total / scalar_elapsed, 1),
+        "vectorized_solves_per_sec": round(total / vectorized_elapsed, 1),
+        "speedup": round(scalar_elapsed / vectorized_elapsed, 3),
     }
-    if vectorized_elapsed is not None:
-        section["vectorized_solves_per_sec"] = round(
-            total / vectorized_elapsed, 1
-        )
-        section["speedup"] = round(scalar_elapsed / vectorized_elapsed, 3)
-    return section
 
 
 def measure_sweeps(quick: bool) -> Dict[str, Any]:
@@ -516,12 +509,9 @@ def measure_scaleout(quick: bool) -> Dict[str, Any]:
 
 
 def run_trajectory(quick: bool) -> Dict[str, Any]:
-    from repro.core import vectorized
-
     return {
         "schema": SCHEMA_VERSION,
         "mode": "quick" if quick else "full",
-        "numpy_available": vectorized.has_numpy(),
         "calibration": measure_calibration(),
         "solver": measure_solver(),
         "sweeps": measure_sweeps(quick),

@@ -10,7 +10,7 @@ for a real one:
 1. write/read a `.trace.gz` file,
 2. measure the miss curve and fit alpha from the trace,
 3. ask the model what the trace's owner can expect from the next two
-   technology generations, and which knob to lean on (tornado).
+   technology generations.
 """
 
 import tempfile
@@ -19,15 +19,16 @@ from pathlib import Path
 from repro import BandwidthWallModel, paper_baseline_design
 from repro.analysis.calibration import measure_miss_curve
 from repro.analysis.fitting import fit_miss_curve
-from repro.core.sensitivity import tornado
 from repro.workloads.commercial import commercial_generator
 from repro.workloads.trace_io import read_trace, write_trace
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="bandwidth-wall-"))
-    trace_path = workdir / "workload.trace.gz"
+    with tempfile.TemporaryDirectory(prefix="bandwidth-wall-") as workdir:
+        calibrate(Path(workdir) / "workload.trace.gz")
 
+
+def calibrate(trace_path: Path) -> None:
     # --- 1. capture (here: synthesise) a trace -----------------------
     generator = commercial_generator("OLTP-4", working_set_lines=1 << 13)
     count = write_trace(generator.accesses(80_000), trace_path)
@@ -50,16 +51,12 @@ def main() -> None:
         print("warning: this workload does not follow the power law; "
               "model projections will extrapolate poorly")
 
-    # --- 3. project and prioritise ------------------------------------
+    # --- 3. project ---------------------------------------------------
     model = BandwidthWallModel(paper_baseline_design(), alpha=fit.alpha)
     for ceas in (32, 64):
         solution = model.supportable_cores(ceas)
         print(f"{ceas:>3.0f} CEAs: {solution.cores} cores under constant "
               f"traffic ({solution.core_area_share:.0%} of die)")
-
-    print("\nwhich knob matters most (+/-25% swings, 64 CEAs):")
-    for name, low, high in tornado(model, 64):
-        print(f"  {name:<20} {low:5.1f} .. {high:5.1f} cores")
 
 
 if __name__ == "__main__":

@@ -8,23 +8,13 @@ This walks the full measurement pipeline the paper's inputs came from:
    alpha on log-log axes,
 3. measure the write-back ratio and the unused-word fraction with the
    set-associative cache simulator,
-4. measure compression effectiveness on the workload's data values with
-   the real FPC engine and value-cache link compressor,
-5. feed every measured number into the analytical model and report how
+4. feed the measured numbers into the analytical model and report how
    many cores the next generation supports.
 """
 
 from repro.analysis.calibration import calibrate_workload
-from repro.compression.link import measure_link_ratio
-from repro.compression.ratios import ENGINES, measure_cache_ratio
-from repro.core import (
-    CacheLinkCompression,
-    SmallCacheLines,
-    TechniqueStack,
-    paper_baseline_model,
-)
+from repro.core import SmallCacheLines, paper_baseline_model
 from repro.workloads.commercial import commercial_generator
-from repro.workloads.values import VALUE_MIXES, ValueGenerator
 
 WORKLOAD = "OLTP-4"
 ACCESSES = 80_000
@@ -59,25 +49,14 @@ def main() -> None:
           f"{calibration.unused_word_fraction:.0%} "
           "(paper's realistic assumption: 40%)")
 
-    # --- step 4: compression measurements --------------------------------
-    values = ValueGenerator(VALUE_MIXES["commercial"], seed=1)
-    lines = list(values.lines(400))
-    fpc_ratio = measure_cache_ratio(lines, ENGINES["fpc"], "fpc").ratio
-    link_ratio = measure_link_ratio(lines)
-    print(f"  FPC cache compression: {fpc_ratio:.2f}x")
-    print(f"  link compression     : {link_ratio:.2f}x")
-
-    # --- step 5: feed the model -----------------------------------------
+    # --- step 4: feed the model -----------------------------------------
     model = paper_baseline_model(alpha=calibration.alpha)
     base = model.supportable_cores(32)
-    stack = TechniqueStack((
-        CacheLinkCompression(min(fpc_ratio, link_ratio)),
-        SmallCacheLines(calibration.unused_word_fraction),
-    ))
-    boosted = model.supportable_cores(32, effect=stack.effect())
+    technique = SmallCacheLines(calibration.unused_word_fraction)
+    boosted = model.supportable_cores(32, effect=technique.effect())
     print(f"\nnext-generation cores for this workload:")
     print(f"  no techniques        : {base.cores}")
-    print(f"  {stack.label:<21}: {boosted.cores}")
+    print(f"  {technique.label:<21}: {boosted.cores}")
     print("\nevery input above was *measured* from the substrates, not "
           "assumed.")
 

@@ -11,12 +11,7 @@ questions:
    (24, not 128 — with 90% of the die spent on cache.)
 """
 
-from repro import (
-    ChipDesign,
-    BandwidthWallModel,
-    TrafficModel,
-    paper_baseline_model,
-)
+from repro import ChipDesign, PowerLawMissModel, paper_baseline_model
 
 
 def main() -> None:
@@ -38,14 +33,15 @@ def main() -> None:
     print(f"  with +50% bandwidth: {relaxed.cores} cores")
 
     # --- why: the traffic decomposition of Equation 5 -------------------
-    traffic = TrafficModel(alpha=0.5)
-    ratio = traffic.relative_traffic(
-        ChipDesign(16, 8), ChipDesign(16, 12)
+    today, reallocated = ChipDesign(16, 8), ChipDesign(16, 12)
+    core_factor = reallocated.num_cores / today.num_cores
+    cache_factor = PowerLawMissModel(alpha=model.alpha).traffic_ratio(
+        reallocated.cache_per_core, today.cache_per_core
     )
     print(f"\nreallocating 4 cache CEAs to cores on today's die:")
-    print(f"  traffic grows {ratio.total:.1f}x "
-          f"({ratio.core_factor:.2f}x from cores, "
-          f"{ratio.cache_factor:.2f}x from smaller caches)")
+    print(f"  traffic grows {core_factor * cache_factor:.1f}x "
+          f"({core_factor:.2f}x from cores, "
+          f"{cache_factor:.2f}x from smaller caches)")
 
     # --- question 2: four generations out -------------------------------
     print("\nscaling under constant traffic:")

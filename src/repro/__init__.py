@@ -7,10 +7,9 @@ The package has two halves:
   and every bandwidth-conservation technique of Section 6.
 * the measurement substrates the paper's inputs came from, rebuilt in
   Python: a cache simulator (:mod:`repro.cache`), synthetic workload
-  generators (:mod:`repro.workloads`), compression engines
-  (:mod:`repro.compression`), and a bounded-bandwidth memory system
-  (:mod:`repro.memory`), tied together by :mod:`repro.analysis` and the
-  per-figure experiment drivers in :mod:`repro.experiments`.
+  generators (:mod:`repro.workloads`) and a bounded-bandwidth memory
+  system (:mod:`repro.memory`), tied together by :mod:`repro.analysis`
+  and the per-figure experiment drivers in :mod:`repro.experiments`.
 
 Quickstart
 ----------
@@ -72,8 +71,6 @@ from .core import (
     TechniqueEffect,
     TechniqueStack,
     ThreeDStackedCache,
-    TrafficModel,
-    TrafficRatio,
     UnusedDataFiltering,
     paper_baseline_design,
     paper_baseline_model,
@@ -86,8 +83,6 @@ __all__ = [
     "__version__",
     "ChipDesign",
     "PowerLawMissModel",
-    "TrafficModel",
-    "TrafficRatio",
     "BandwidthWallModel",
     "ScalingSolution",
     "GenerationPoint",

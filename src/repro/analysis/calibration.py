@@ -2,9 +2,9 @@
 
 The paper's analytical model consumes a handful of measured scalars:
 alpha (per workload), the write-back ratio ``r_wb``, the unused-word
-fraction, compression effectiveness, and the shared-line fraction.
-Each function here runs the corresponding simulator over a synthetic
-workload and returns those scalars, closing the measure→model loop.
+fraction, and the shared-line fraction.  Each function here runs the
+corresponding simulator over a synthetic workload and returns those
+scalars, closing the measure→model loop.
 """
 
 from __future__ import annotations

@@ -2,17 +2,11 @@
 
 Functional (untimed) cache models used to *measure* the analytical
 model's inputs: miss-rate-vs-size curves (Figure 1), write-back ratios,
-unused-word fractions, compression capacity gains, sector fetch traffic,
-and shared-line fractions (Figure 14).
+unused-word fractions, and shared-line fractions (Figure 14).
 """
 
 from .block import AccessResult, CacheLine
 from .coherence import CoherenceStats, MSIState, PrivateCacheSystem
-from .compressed import CompressedCache, FixedRatioCompressor, LineCompressor
-from .dram_cache import DenseCacheHierarchy
-from .filtered import FilteredCache
-from .footprint_predictor import FootprintHistoryPredictor
-from .hierarchy import PrivateCacheHierarchy
 from .replacement import (
     FIFOPolicy,
     LRUPolicy,
@@ -21,7 +15,6 @@ from .replacement import (
     TreePLRUPolicy,
     make_policy,
 )
-from .sectored import OraclePredictor, SectoredCache, StaticPredictor
 from .set_assoc import SetAssociativeCache
 from .shared_l2 import SharedL2Cache
 from .stats import CacheStats
@@ -31,17 +24,7 @@ __all__ = [
     "CacheLine",
     "CacheStats",
     "SetAssociativeCache",
-    "PrivateCacheHierarchy",
     "SharedL2Cache",
-    "SectoredCache",
-    "OraclePredictor",
-    "StaticPredictor",
-    "FootprintHistoryPredictor",
-    "CompressedCache",
-    "FixedRatioCompressor",
-    "LineCompressor",
-    "FilteredCache",
-    "DenseCacheHierarchy",
     "PrivateCacheSystem",
     "MSIState",
     "CoherenceStats",

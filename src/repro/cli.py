@@ -197,7 +197,7 @@ def _jobs_parser() -> argparse.ArgumentParser:
 
     submit = commands.add_parser(
         "submit", parents=[connection],
-        help="submit an experiments job (no ids = all 28)")
+        help="submit an experiments job (no ids = every registry id)")
     submit.add_argument("ids", nargs="*", metavar="ID",
                         help="experiment ids (e.g. fig2 table2 ext-het); "
                              "empty runs the whole registry")

@@ -40,7 +40,6 @@ from .roadmap import (
     RoadmapPoint,
     wall_onset,
 )
-from .sensitivity import Elasticities, elasticities, tornado
 from .powerlaw import (
     ALPHA_AVERAGE,
     ALPHA_COMMERCIAL_AVG,
@@ -81,7 +80,6 @@ from .techniques import (
     ThreeDStackedCache,
     UnusedDataFiltering,
 )
-from .traffic import TrafficModel, TrafficRatio
 
 __all__ = [
     "ChipDesign",
@@ -93,8 +91,6 @@ __all__ = [
     "ALPHA_COMMERCIAL_MIN",
     "ALPHA_COMMERCIAL_MAX",
     "ALPHA_SPEC2006_AVG",
-    "TrafficModel",
-    "TrafficRatio",
     "BandwidthWallModel",
     "ScalingSolution",
     "GenerationPoint",
@@ -150,9 +146,6 @@ __all__ = [
     "ITRS_ROADMAP",
     "OPTIMISTIC_ROADMAP",
     "FLAT_ROADMAP",
-    "Elasticities",
-    "elasticities",
-    "tornado",
     "UncoreModel",
     "InterconnectModel",
     "OverheadAwareWallModel",

@@ -180,7 +180,7 @@ class BandwidthWallModel:
 
         from . import vectorized
 
-        if vectorized.mode() == "force" and vectorized.has_numpy():
+        if vectorized.mode() == "force":
             # The differential test mode: even single solves run through
             # the batch kernel, proving it byte-identical on every code
             # path that reaches supportable_cores.

@@ -52,11 +52,11 @@ bracket guards fail (area-limited designs, unsolvably tiny budgets)
 are delegated to the scalar solve so ``BracketError`` semantics and
 messages stay identical too.
 
-numpy is optional: without it (or with ``REPRO_VECTORIZED=off``) every
-entry point degrades to the scalar loop, keeping the stdlib-only
-service deployable.  ``REPRO_VECTORIZED=force`` routes even single
-solves through the batch kernel, which is how the differential suite
-proves equivalence across all 28 golden experiment ids.
+``REPRO_VECTORIZED=off`` degrades every entry point to the scalar
+loop, the reference the differential suite compares against;
+``REPRO_VECTORIZED=force`` routes even single solves through the batch
+kernel, which is how that suite proves equivalence across every golden
+experiment id.
 """
 
 from __future__ import annotations
@@ -66,17 +66,13 @@ import os
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via the numpy-absent tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 if TYPE_CHECKING:  # import cycle guard (typing only)
     from .scaling import BandwidthWallModel, ScalingSolution
     from .techniques import TechniqueEffect
 
 __all__ = [
-    "has_numpy",
     "configure",
     "mode",
     "use_batch",
@@ -122,11 +118,6 @@ def _initial_mode() -> str:
 _MODE = _initial_mode()
 
 
-def has_numpy() -> bool:
-    """Whether the batch kernel's backend is importable."""
-    return _np is not None
-
-
 def configure(mode_name: str) -> None:
     """Select the dispatch mode: ``auto``, ``force`` or ``off``."""
     global _MODE
@@ -144,7 +135,7 @@ def mode() -> str:
 
 def use_batch(batch_size: int) -> bool:
     """Should a batch of this size go through the vectorized kernel?"""
-    if _np is None or _MODE == "off":
+    if _MODE == "off":
         return False
     return _MODE == "force" or batch_size >= MIN_BATCH_SIZE
 
@@ -405,10 +396,10 @@ def solve_batch(
     consult the solve memo — callers that want memoization go through
     :meth:`BandwidthWallModel.supportable_cores_batch`.
 
-    Without numpy every query runs through the scalar path unchanged.
+    In ``off`` mode every query runs through the scalar path unchanged.
     """
     queries = list(queries)
-    if _np is None or _MODE == "off":
+    if _MODE == "off":
         return [model.solve_point(t, budget, effect)
                 for t, budget, effect in queries]
     n = len(queries)

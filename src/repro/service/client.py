@@ -203,7 +203,7 @@ class ServiceClient:
             self, ids: Optional[Sequence[str]] = None, *,
             chunk_size: Optional[int] = None,
             max_attempts: Optional[int] = None) -> Dict[str, Any]:
-        """Submit a checkpointed experiments run (None = all 28 ids)."""
+        """Submit a checkpointed experiments run (None = every registry id)."""
         body: Dict[str, Any] = {"kind": "experiments"}
         if ids is not None:
             body["ids"] = list(ids)

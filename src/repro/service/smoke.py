@@ -50,6 +50,7 @@ import subprocess
 import sys
 import time
 
+from ..experiments.runner import experiment_ids
 from .client import ServiceClient, ServiceError
 
 __all__ = ["main"]
@@ -98,7 +99,9 @@ def contract_main() -> int:
     try:
         health = client.wait_until_ready(timeout=30.0)
         _check(health["status"] == "ok", "/healthz answers ok")
-        _check(health["experiments"] == 28, "registry reports 28 ids")
+        registry_size = len(experiment_ids())
+        _check(health["experiments"] == registry_size,
+               f"registry reports {registry_size} ids")
 
         solved = client.solve()
         _check(solved["solution"]["cores"] == 11,

@@ -4,8 +4,8 @@ Deterministic generators that stand in for the paper's proprietary
 traces (commercial workloads, SPEC 2006, PARSEC), constructed so the
 statistical properties the analytical model consumes — power-law miss
 curves with known alpha, write-back ratios, unused-word fractions,
-shared-data structure, value compressibility — are controlled and can be
-independently re-measured.
+shared-data structure — are controlled and can be independently
+re-measured.
 """
 
 from .address_stream import (
@@ -20,7 +20,6 @@ from .commercial import (
     commercial_average_alpha,
     commercial_generator,
 )
-from .mixes import MultiprogrammedMix, round_robin_commercial_mix
 from .parsec_like import ParsecLikeWorkload
 from .trace_io import TraceFormatError, read_trace, write_trace
 from .spec2006 import (
@@ -34,7 +33,6 @@ from .stack_distance import (
     PowerLawTraceGenerator,
     StackDistanceProfiler,
 )
-from .values import VALUE_MIXES, ValueGenerator, ValueMix
 
 __all__ = [
     "MemoryAccess",
@@ -53,11 +51,6 @@ __all__ = [
     "SPEC2006_WORKLOADS",
     "spec2006_generator",
     "ParsecLikeWorkload",
-    "ValueGenerator",
-    "ValueMix",
-    "VALUE_MIXES",
-    "MultiprogrammedMix",
-    "round_robin_commercial_mix",
     "read_trace",
     "write_trace",
     "TraceFormatError",

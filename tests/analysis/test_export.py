@@ -183,4 +183,7 @@ class TestServiceResponsesAreStrict:
             assert response.status in (200, 400, 422)
             strict_loads(response.body.decode("utf-8"))
 
-        check()
+        try:
+            check()
+        finally:
+            service.shutdown_jobs()

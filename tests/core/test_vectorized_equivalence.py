@@ -7,7 +7,7 @@ scalar loop would raise must surface as the same exception type with
 the same message at the same (earliest) query index.  These tests pin
 that contract with hypothesis-driven random models, technique stacks
 and grids, plus the known hard edges (exact landings, area-limited
-designs, unsolvable budgets, non-finite inputs, numpy absence).
+designs, unsolvable budgets, non-finite inputs).
 """
 
 import math
@@ -28,10 +28,6 @@ from repro.core.techniques import (
     SmallerCores,
     ThreeDStackedCache,
     UnusedDataFiltering,
-)
-
-numpy_required = pytest.mark.skipif(
-    not vectorized.has_numpy(), reason="numpy not installed"
 )
 
 #: Technique stacks covering every coefficient the traffic formula
@@ -105,7 +101,6 @@ def assert_all_identical(model, queries):
             assert_identical(expected, actual, context)
 
 
-@numpy_required
 class TestDifferentialEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -158,7 +153,6 @@ class TestDifferentialEquivalence:
             assert_all_identical(model, queries)
 
 
-@numpy_required
 class TestHardEdges:
     def test_exact_landing_floor_case(self):
         """The 3D DRAM 16x analytic landing (exactly 32.0 cores) must keep
@@ -267,7 +261,6 @@ class TestDispatchModes:
         monkeypatch.delenv(vectorized.MODE_ENV_VAR)
         assert vectorized._initial_mode() == "auto"
 
-    @numpy_required
     def test_use_batch_thresholds(self):
         previous = vectorized.mode()
         try:
@@ -281,7 +274,6 @@ class TestDispatchModes:
         finally:
             vectorized.configure(previous)
 
-    @numpy_required
     def test_forced_mode_single_solves_bitwise_equal(self):
         """`force` routes supportable_cores through the batch kernel;
         results must still match the scalar path bit-for-bit."""
@@ -303,20 +295,7 @@ class TestDispatchModes:
         for case, expected, actual in zip(cases, scalar, forced):
             assert_identical(expected, actual, f"forced {case}")
 
-    def test_numpy_absent_falls_back_to_scalar(self, monkeypatch):
-        """Without numpy, solve_batch is the scalar loop and use_batch
-        never fires — the stdlib-only deployment keeps working."""
-        monkeypatch.setattr(vectorized, "_np", None)
-        assert not vectorized.has_numpy()
-        assert not vectorized.use_batch(10_000)
-        model = BandwidthWallModel(ChipDesign(16, 8), alpha=0.5)
-        queries = [(32.0, 1.0, NEUTRAL_EFFECT), (64.0, 2.0, EFFECTS[4])]
-        fallback = vectorized.solve_batch(model, queries)
-        for query, solution in zip(queries, fallback):
-            assert_identical(model.solve_point(*query), solution, "no-numpy")
 
-
-@numpy_required
 class TestBatchEntryPoint:
     def test_supportable_cores_batch_matches_loop(self):
         model = BandwidthWallModel(ChipDesign(16, 8), alpha=0.48)

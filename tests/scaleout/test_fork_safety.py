@@ -29,10 +29,19 @@ pytestmark = pytest.mark.skipif(
 SPEC = JobSpec(kind="experiments", ids=("fig13",))
 
 
+def assert_single_threaded() -> None:
+    """Fork only from a single-threaded process: a thread alive at the
+    fork may hold a lock the child inherits locked forever."""
+    assert threading.active_count() == 1, [
+        thread.name for thread in threading.enumerate()
+    ]
+
+
 def run_in_child(target) -> int:
     """Fork, run ``target()`` in the child, return the child's exit
     code (0 only if target neither raised nor returned falsy-failure).
     """
+    assert_single_threaded()
     pid = os.fork()
     if pid == 0:
         code = 1
@@ -132,6 +141,7 @@ def test_forked_child_lease_is_owned_by_stamped_identity(tmp_path):
     leased_read, leased_write = os.pipe()
     release_read, release_write = os.pipe()
 
+    assert_single_threaded()
     pid = os.fork()
     if pid == 0:
         code = 1

@@ -45,14 +45,21 @@ def post_json(port: int, path: str, payload, timeout: float = 30.0):
         return json.load(reply)
 
 
-def wait_healthy(port: int, deadline: float = 30.0):
+def wait_healthy(process, port: int, deadline: float = 30.0):
+    """Poll ``/healthz`` until it answers.  If the server exits first or
+    the deadline passes, stop it and fail with its exit code and output.
+    """
     limit = time.monotonic() + deadline
-    while time.monotonic() < limit:
+    while time.monotonic() < limit and process.poll() is None:
         try:
             return get_json(port, "/healthz", timeout=2.0)
         except (urllib.error.URLError, OSError, ConnectionError):
             time.sleep(0.1)
-    raise AssertionError("service never became healthy")
+    output = shutdown(process)
+    raise AssertionError(
+        f"service never became healthy (exit code {process.returncode}):"
+        f"\n{output}"
+    )
 
 
 def boot(tmp_path, *, extra_env=None, processes=2):
@@ -88,7 +95,7 @@ def shutdown(process) -> str:
 
 def drive_and_assert(process, port, *, expect_mode: str) -> None:
     try:
-        health = wait_healthy(port)
+        health = wait_healthy(process, port)
         assert health["status"] == "ok"
         scaleout = health["scaleout"]
         assert scaleout["processes"] == 2
@@ -147,7 +154,7 @@ def test_prefork_inherited_fd_fallback(tmp_path):
 def test_prefork_jobs_drain_through_shared_store(tmp_path):
     process, port = boot(tmp_path)
     try:
-        wait_healthy(port)
+        wait_healthy(process, port)
         submitted = post_json(
             port, "/v1/jobs",
             {"kind": "experiments", "ids": ["fig13"]})
@@ -170,9 +177,9 @@ def test_fresh_groups_start_every_child(tmp_path):
     groups = [boot(tmp_path / f"group{index}") for index in range(3)]
     healthy = []
     try:
-        for _, port in groups:
+        for process, port in groups:
             try:
-                wait_healthy(port)
+                wait_healthy(process, port)
                 healthy.append(True)
             except AssertionError:
                 healthy.append(False)

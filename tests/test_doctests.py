@@ -10,35 +10,27 @@ import doctest
 import pytest
 
 import repro.analysis.tables
-import repro.compression.link
-import repro.compression.ratios
 import repro.core.amdahl
 import repro.core.area
 import repro.core.combos
 import repro.core.heterogeneous
 import repro.core.powerlaw
 import repro.core.scaling
-import repro.core.traffic
 import repro.optimize.space
 import repro.workloads.address_stream
 import repro.workloads.commercial
-import repro.workloads.mixes
 
 _MODULES = [
     repro.core.area,
     repro.core.powerlaw,
-    repro.core.traffic,
     repro.core.scaling,
     repro.core.combos,
     repro.core.amdahl,
     repro.core.heterogeneous,
     repro.optimize.space,
     repro.analysis.tables,
-    repro.compression.link,
-    repro.compression.ratios,
     repro.workloads.address_stream,
     repro.workloads.commercial,
-    repro.workloads.mixes,
 ]
 
 

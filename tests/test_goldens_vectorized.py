@@ -32,10 +32,6 @@ from .test_goldens import assert_jsonable_equal
 
 ALL_IDS = experiment_ids()
 
-pytestmark = pytest.mark.skipif(
-    not vectorized.has_numpy(), reason="numpy not installed"
-)
-
 
 @pytest.fixture(scope="module")
 def forced_sweep():

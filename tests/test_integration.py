@@ -10,22 +10,15 @@ import pytest
 
 from repro import (
     CacheCompression,
-    CacheLinkCompression,
     ChipDesign,
     BandwidthWallModel,
     LinkCompression,
-    SectoredCache,
     SmallCacheLines,
     TechniqueStack,
     paper_baseline_model,
 )
 from repro.analysis.calibration import calibrate_workload
-from repro.cache.compressed import CompressedCache, FixedRatioCompressor
-from repro.cache.sectored import OraclePredictor
-from repro.cache.sectored import SectoredCache as SectoredCacheSim
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.compression.link import measure_link_ratio
-from repro.compression.ratios import ENGINES, measure_cache_ratio
 from repro.memory.system import (
     AnalyticThroughputModel,
     BoundedBandwidthSimulation,
@@ -33,7 +26,6 @@ from repro.memory.system import (
 )
 from repro.workloads.commercial import commercial_generator
 from repro.workloads.stack_distance import PowerLawTraceGenerator
-from repro.workloads.values import VALUE_MIXES, ValueGenerator
 
 
 class TestMeasureThenModel:
@@ -67,18 +59,6 @@ class TestMeasureThenModel:
         boosted = model.supportable_cores(32, effect=effect).cores
         assert boosted > 11
 
-    def test_measured_compression_feeds_cclc(self, calibration):
-        values = ValueGenerator(VALUE_MIXES["commercial"], seed=5)
-        lines = list(values.lines(300))
-        fpc = measure_cache_ratio(lines, ENGINES["fpc"], "fpc").ratio
-        link = measure_link_ratio(lines)
-        ratio = min(fpc, link)
-        model = paper_baseline_model(alpha=calibration.alpha)
-        effect = CacheLinkCompression(ratio).effect()
-        cores = model.supportable_cores(32, effect=effect).cores
-        # measured ~1.7-2x dual compression: super-proportional-ish
-        assert cores >= 16
-
 
 class TestModelSimulatorConsistency:
     def test_equation5_predicts_simulated_traffic_ratio(self):
@@ -103,39 +83,6 @@ class TestModelSimulatorConsistency:
         )
         predicted = (128 / 32) ** -0.5
         assert measured_ratio == pytest.approx(predicted, rel=0.12)
-
-    def test_sectored_simulator_matches_technique_factor(self):
-        """The sectored cache's measured fetch-traffic ratio equals the
-        SectoredCache technique's 1/traffic_factor."""
-        used = 3  # of 8 sectors
-        oracle = OraclePredictor(lambda line: (1 << used) - 1)
-        cache = SectoredCacheSim(size_bytes=8192, line_bytes=64,
-                                 sector_bytes=8, associativity=4,
-                                 predictor=oracle)
-        for line in range(512):
-            for sector in range(used):
-                cache.access(line * 64 + sector * 8)
-        technique = SectoredCache(unused_fraction=1 - used / 8)
-        assert cache.fetch_traffic_ratio == pytest.approx(
-            1 / technique.effect().traffic_factor, abs=0.02
-        )
-
-    def test_compressed_cache_achieves_technique_capacity(self):
-        """A fixed-ratio compressed cache's capacity gain matches the
-        CacheCompression technique's factor."""
-        ratio = 2.0
-        cache = CompressedCache(
-            size_bytes=16 * 1024,
-            compressor=FixedRatioCompressor(ratio),
-            associativity=8,
-            tag_factor=2,
-        )
-        for line in range(4096):
-            cache.access(line * 64)
-        technique = CacheCompression(ratio)
-        assert cache.effective_capacity_ratio == pytest.approx(
-            technique.effect().capacity_factor, abs=0.15
-        )
 
     def test_link_compression_equals_bandwidth_growth(self):
         """LinkCompression(r) in the model == channel with r-times

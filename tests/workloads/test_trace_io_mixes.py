@@ -1,13 +1,8 @@
-"""Tests for trace file I/O and multiprogrammed mixes."""
+"""Tests for trace file I/O."""
 
 import pytest
 
 from repro.workloads.address_stream import MemoryAccess
-from repro.workloads.commercial import COMMERCIAL_WORKLOADS
-from repro.workloads.mixes import (
-    MultiprogrammedMix,
-    round_robin_commercial_mix,
-)
 from repro.workloads.trace_io import (
     TraceFormatError,
     read_trace,
@@ -130,51 +125,3 @@ class TestTraceIO:
         with pytest.raises(TraceFormatError, match="magic"):
             list(read_trace(path))
 
-
-class TestMultiprogrammedMix:
-    def test_round_robin_constructor(self):
-        mix = round_robin_commercial_mix(9)
-        assert mix.num_cores == 9
-        assert mix.programs[0] is COMMERCIAL_WORKLOADS[0]
-        assert mix.programs[7] is COMMERCIAL_WORKLOADS[0]
-
-    def test_core_ids_tagged(self):
-        mix = round_robin_commercial_mix(3)
-        accesses = list(mix.accesses(5))
-        assert sorted({a.core_id for a in accesses}) == [0, 1, 2]
-
-    def test_programs_address_disjoint(self):
-        mix = round_robin_commercial_mix(4)
-        regions = {}
-        for access in mix.accesses(300):
-            regions.setdefault(access.core_id, set()).add(
-                access.address >> 30
-            )
-        seen = [frozenset(r) for r in regions.values()]
-        assert len(set(seen)) == len(seen)  # no two cores share a region
-
-    def test_average_alpha(self):
-        mix = MultiprogrammedMix((COMMERCIAL_WORKLOADS[4],
-                                  COMMERCIAL_WORKLOADS[6]))
-        assert mix.average_alpha == pytest.approx((0.36 + 0.62) / 2)
-
-    def test_shared_cache_sees_no_sharing(self):
-        """The paper's no-sharing assumption holds for a mix: a shared
-        L2 never sees a line touched by two cores."""
-        from repro.cache.shared_l2 import SharedL2Cache
-
-        mix = round_robin_commercial_mix(4)
-        cache = SharedL2Cache(size_bytes=256 * 1024, num_cores=4)
-        for access in mix.accesses(5_000):
-            cache.access(access.address, core_id=access.core_id,
-                         is_write=access.is_write)
-        assert cache.shared_line_fraction() == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MultiprogrammedMix(())
-        with pytest.raises(ValueError):
-            round_robin_commercial_mix(0)
-        mix = round_robin_commercial_mix(2)
-        with pytest.raises(ValueError):
-            next(iter(mix.accesses(-1)))
