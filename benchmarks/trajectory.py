@@ -17,10 +17,12 @@ performance story over time:
   requests against ``/v1/solve``).
 * **powerlaw** — batch vs scalar miss-rate evaluation rates.
 * **optimize** — exhaustive design-space search throughput (technique
-  configurations evaluated per second through the PR-7 optimizer).
+  configurations evaluated per second through the PR-7 optimizer),
+  also divided by the calibration rate for the gate.
 * **traces** — trace-simulation throughput: accesses profiled per
   second through the one-pass stack-distance pipeline (synthesis,
-  Mattson profiling, curve evaluation and the Yavits fit end to end).
+  Mattson profiling, curve evaluation and the Yavits fit end to end),
+  also divided by the calibration rate for the gate.
 * **scaleout** — pre-fork serving throughput (1 process vs N over the
   shared cache tier) and worker-fleet drain speedup (1 claimer vs N
   over one job store), measured against real subprocesses.  The
@@ -30,10 +32,9 @@ performance story over time:
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/trajectory.py --output BENCH_8.json
-    PYTHONPATH=src python benchmarks/trajectory.py --quick
+    PYTHONPATH=src python benchmarks/trajectory.py --output new.json
     PYTHONPATH=src python benchmarks/trajectory.py \\
-        --gate new.json --against BENCH_8.json --threshold 0.15
+        --gate new.json --against BENCH_10.json --threshold 0.15
 
 When ``--against`` names a file that does not exist yet the gate is
 skipped with a note instead of failing — the first run on a branch has
@@ -53,9 +54,10 @@ import argparse
 import json
 import math
 import os
+import statistics
 import sys
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 SCHEMA_VERSION = 1
 
@@ -64,6 +66,9 @@ FIG1_ALPHAS = 25
 
 #: Relative change beyond which the gate fails a metric.
 DEFAULT_THRESHOLD = 0.15
+
+#: Timed rounds behind each gated in-process metric (see :func:`_rounds`).
+ROUNDS = 5
 
 
 # ----------------------------------------------------------------------
@@ -74,10 +79,8 @@ DEFAULT_THRESHOLD = 0.15
 def _fig1_grid():
     """(model, queries) pairs spanning the fig-1 alpha range densely.
 
-    Deliberately *not* shrunk by ``--quick``: the whole section runs in
-    about a second, and keeping the alpha mix and batch sizes constant
-    is what makes the measured speedup comparable across modes (the
-    dispatch path — cubic vs companion vs Newton — depends on alpha).
+    The alpha mix picks the dispatch path (cubic vs companion vs
+    Newton), so it stays fixed for speedups to compare across artifacts.
     """
     from repro.core.area import ChipDesign
     from repro.core.powerlaw import ALPHA_COMMERCIAL_MAX, ALPHA_SPEC2006_AVG
@@ -123,101 +126,118 @@ def _scalar_rate(best_of: int = 5) -> float:
     return len(queries) / elapsed
 
 
+def _rounds(measure: Callable[[], float]) -> Tuple[float, float]:
+    """Median over :data:`ROUNDS` rounds of ``measure()`` (seconds), and
+    of those seconds times the calibration rate averaged over the passes
+    right before and after each round.
+
+    On shared hosts machine speed swings within a second (the
+    calibration read 10k-18k solves/s on consecutive passes of one
+    process on a 2-vCPU host, timed by wall clock or by CPU time alike),
+    and pure-Python and numpy-bound work do not slow by the same factor.
+    So a single round, however its timings are bracketed, can divide a
+    fast timing by a slow rate; the median over rounds does not.
+    """
+    rates = [_scalar_rate(best_of=3)]
+    seconds, work = [], []
+    for _ in range(ROUNDS):
+        seconds.append(measure())
+        rates.append(_scalar_rate(best_of=3))
+        work.append(seconds[-1] * (rates[-2] + rates[-1]) / 2.0)
+    return statistics.median(seconds), statistics.median(work)
+
+
 def measure_calibration() -> Dict[str, Any]:
     return {"scalar_solves_per_sec": round(_scalar_rate(), 1)}
 
 
 def measure_solver() -> Dict[str, Any]:
-    """Scalar vs vectorized solves/sec on the fig-1 sweep grid."""
+    """Scalar vs vectorized solves/sec on the fig-1 sweep grid.
+
+    The speedup is the median over :data:`ROUNDS` rounds of one scalar
+    and one vectorized pass each: pure-Python and numpy-bound passes
+    slow by different factors when the host does, so timing each side
+    in its own block lets the ratio follow host speed (see
+    :func:`_rounds`).
+    """
     from repro.core import memo, vectorized
 
     pairs = _fig1_grid()
     total = sum(len(queries) for _, queries in pairs)
+    scalar, batch = [], []
     with memo.disabled():
         # Warm numpy (BLAS/eigvals init) outside the timed region.
         vectorized.solve_batch(pairs[0][0], pairs[0][1][:32])
-        # Best-of-N on both sides to shave scheduler noise off the
-        # speedup ratio; the vectorized pass is cheap, so it gets an
-        # extra repetition.
-        scalar_elapsed = math.inf
-        for _ in range(2):
+        for _ in range(ROUNDS):
             start = time.perf_counter()
             for model, queries in pairs:
                 for query in queries:
                     model.solve_point(*query)
-            scalar_elapsed = min(scalar_elapsed,
-                                 time.perf_counter() - start)
-
-        vectorized_elapsed = math.inf
-        for _ in range(3):
+            scalar.append(time.perf_counter() - start)
             start = time.perf_counter()
             for model, queries in pairs:
                 vectorized.solve_batch(model, queries)
-            vectorized_elapsed = min(vectorized_elapsed,
-                                     time.perf_counter() - start)
+            batch.append(time.perf_counter() - start)
 
     return {
         "grid_points": total,
-        "scalar_solves_per_sec": round(total / scalar_elapsed, 1),
-        "vectorized_solves_per_sec": round(total / vectorized_elapsed, 1),
-        "speedup": round(scalar_elapsed / vectorized_elapsed, 3),
+        "scalar_solves_per_sec": round(total / statistics.median(scalar), 1),
+        "vectorized_solves_per_sec":
+            round(total / statistics.median(batch), 1),
+        "speedup": round(statistics.median(
+            s / b for s, b in zip(scalar, batch)), 3),
     }
 
 
-def measure_sweeps(quick: bool) -> Dict[str, Any]:
+def _sweep_seconds(experiment_id: str) -> float:
+    """Serial engine time of one id: one pass, or for sub-millisecond
+    sweeps (fig9), which drown in scheduler noise, the best of as many
+    passes as fit in 0.1 s."""
+    from repro.core import memo
+    from repro.experiments.engine import SweepEngine
+
+    elapsed = math.inf
+    spent = 0.0
+    repeats = 0
+    while repeats < 1 or (spent < 0.1 and repeats < 1000):
+        memo.clear_cache()
+        start = time.perf_counter()
+        SweepEngine(max_workers=1).run([experiment_id])
+        once = time.perf_counter() - start
+        elapsed = min(elapsed, once)
+        spent += once
+        repeats += 1
+    return elapsed
+
+
+def measure_sweeps() -> Dict[str, Any]:
     """Wall time of representative experiment ids, serial engine path.
 
     ``normalized_work`` is seconds multiplied by the calibration solve
     rate — roughly "how many calibration solves this sweep is worth" —
     which is what the gate compares across machines.  The rate is
-    sampled immediately before and after *each* sweep (not once per
-    artifact): machine speed on shared hosts drifts on minute scales,
-    and dividing a sweep time by a calibration measured minutes away
-    compounds the two noise sources instead of cancelling them.
+    sampled immediately before and after *each* round of each sweep
+    (not once per artifact; see :func:`_rounds`).
     """
-    from repro.core import memo
-    from repro.experiments.engine import SweepEngine
-
-    # Quick mode keeps ext-validation: fig9 is sub-millisecond and
-    # only informational (see GATED_METRICS), so the quick artifact
-    # needs one multi-second sweep for the gate to bite on.
-    ids = (["fig9", "ext-validation"] if quick
-           else ["fig1", "fig9", "ext-validation"])
     section: Dict[str, Any] = {}
-    for experiment_id in ids:
-        rate_before = _scalar_rate(best_of=3)
-        # Everything runs best-of-N: sub-millisecond sweeps (fig9)
-        # drown in scheduler noise and get a 0.5 s sampling budget
-        # (hundreds of repetitions); the multi-second ones get two
-        # passes, which trims the slow tail a single shot would keep.
-        elapsed = math.inf
-        spent = 0.0
-        repeats = 0
-        while repeats < 2 or (spent < 0.5 and repeats < 1000):
-            memo.clear_cache()
-            start = time.perf_counter()
-            SweepEngine(max_workers=1).run([experiment_id])
-            once = time.perf_counter() - start
-            elapsed = min(elapsed, once)
-            spent += once
-            repeats += 1
-        rate = (rate_before + _scalar_rate(best_of=3)) / 2.0
+    for experiment_id in ("fig1", "fig9", "ext-validation"):
+        seconds, work = _rounds(lambda: _sweep_seconds(experiment_id))
         section[experiment_id] = {
-            "seconds": round(elapsed, 4),
-            "normalized_work": round(elapsed * rate, 1),
+            "seconds": round(seconds, 4),
+            "normalized_work": round(work, 1),
         }
     return section
 
 
-def measure_service(quick: bool) -> Dict[str, Any]:
+def measure_service() -> Dict[str, Any]:
     """Closed-loop throughput/p99 — the PR-2 load harness shape."""
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.core import memo
     from repro.service.app import ServiceConfig, start_service
 
-    threads = 4 if quick else 8
-    per_thread = 10 if quick else 25
+    threads = 8
+    per_thread = 25
     distinct = 10
 
     memo.clear_cache()
@@ -256,12 +276,7 @@ def measure_service(quick: bool) -> Dict[str, Any]:
 
 
 def measure_powerlaw() -> Dict[str, Any]:
-    """Batch vs scalar miss-rate evaluation throughput.
-
-    Like the solver section, not shrunk by ``--quick`` — it runs in
-    well under a second and a constant grid keeps the speedup
-    comparable across modes.
-    """
+    """Batch vs scalar miss-rate evaluation throughput."""
     from repro.core.powerlaw import PowerLawMissModel
 
     model = PowerLawMissModel(alpha=0.48, baseline_miss_rate=0.04,
@@ -274,37 +289,36 @@ def measure_powerlaw() -> Dict[str, Any]:
     for size in grid[:1000]:
         model.miss_rate(size)
 
-    # One pass is only tens of milliseconds, so single-shot timings
-    # drown in scheduler noise; best-of-N is the standard cure.
-    scalar_elapsed = math.inf
-    batch_elapsed = math.inf
-    for _ in range(5):
+    # Medians over rounds of one pass each, as in measure_solver.
+    scalar, batch = [], []
+    for _ in range(ROUNDS):
         start = time.perf_counter()
         for size in grid:
             model.miss_rate(size)
-        scalar_elapsed = min(scalar_elapsed,
-                             time.perf_counter() - start)
-
+        scalar.append(time.perf_counter() - start)
         start = time.perf_counter()
         model.miss_rate_batch(grid)
-        batch_elapsed = min(batch_elapsed, time.perf_counter() - start)
+        batch.append(time.perf_counter() - start)
     return {
         "points": count,
-        "scalar_rates_per_sec": round(count / scalar_elapsed, 1),
-        "batch_rates_per_sec": round(count / batch_elapsed, 1),
-        "speedup": round(scalar_elapsed / batch_elapsed, 3),
+        "scalar_rates_per_sec": round(count / statistics.median(scalar), 1),
+        "batch_rates_per_sec": round(count / statistics.median(batch), 1),
+        "speedup": round(statistics.median(
+            s / b for s, b in zip(scalar, batch)), 3),
     }
 
 
-def measure_optimize(quick: bool) -> Dict[str, Any]:
+def measure_optimize() -> Dict[str, Any]:
     """Exhaustive design-space search throughput (points evaluated/sec).
 
     A fixed sub-space of the optimizer's technique grid (compression
     ratios x DRAM densities x unused-data filtering) solved end to end
     — effect construction, vectorized batch solves, per-point integer
-    re-evaluation and Pareto pruning — so the gated
-    ``points_per_sec`` covers the whole ``/v1/optimize`` hot path, not
-    just the kernel.
+    re-evaluation and Pareto pruning — so the rate covers the whole
+    ``/v1/optimize`` hot path, not just the kernel.  The gated
+    ``normalized_rate`` divides it by the calibration rate sampled
+    around the search, as ``sweeps`` does, so that it compares across
+    hosts and host-speed drift.
     """
     from repro.core import memo
     from repro.optimize import OptimizeParams, SearchSpace, run_search
@@ -313,66 +327,74 @@ def measure_optimize(quick: bool) -> Dict[str, Any]:
         "stacked_layers": [0],
         "line_unused": [0.0],
         "core_area_fraction": [1.0],
-        "sharing_fraction": [0.0] if quick else [0.0, 0.2, 0.5],
+        "sharing_fraction": [0.0, 0.2, 0.5],
     })
     params = OptimizeParams(
         space=space, ceas=256.0, budget=4.0, alpha=0.5,
         strategy="exhaustive",
     )
     memo.clear_cache()
-    run_search(OptimizeParams(space=SearchSpace.build({
-        name: [values[0]] for name, values in space.to_dict().items()
-    }), ceas=256.0, budget=4.0, alpha=0.5,
-        strategy="exhaustive"))  # warm-up: imports, numpy init
-    elapsed = math.inf
-    for _ in range(3):  # best-of-3: a CPU-steal burst mid-search halves the rate
-        memo.clear_cache()
-        start = time.perf_counter()
-        artifact = run_search(params)
-        elapsed = min(elapsed, time.perf_counter() - start)
+    artifact = run_search(params)  # warm-up: imports, numpy init
+
+    def search_seconds() -> float:
+        elapsed = math.inf
+        for _ in range(3):  # best-of-3: a CPU-steal burst mid-search halves the rate
+            memo.clear_cache()
+            start = time.perf_counter()
+            run_search(params)
+            elapsed = min(elapsed, time.perf_counter() - start)
+        return elapsed
+
+    seconds, work = _rounds(search_seconds)
+    points = artifact["evaluated"]
     return {
-        "points": artifact["evaluated"],
-        "seconds": round(elapsed, 4),
-        "points_per_sec": round(artifact["evaluated"] / elapsed, 1),
+        "points": points,
+        "seconds": round(seconds, 4),
+        "points_per_sec": round(points / seconds, 1),
+        "normalized_rate": round(points / work, 4),
         "frontier_size": artifact["frontier_size"],
     }
 
 
-def measure_traces(quick: bool) -> Dict[str, Any]:
+def measure_traces() -> Dict[str, Any]:
     """Trace-simulation throughput (accesses profiled per second).
 
     One ``powerlaw`` unit through the whole pipeline — synthesis,
     stack-distance profiling, miss-curve evaluation, power-law and
-    Yavits fits — so the gated rate covers the ``/v1/traces`` hot
-    path, not just the profiler inner loop.
+    Yavits fits — so the rate covers the ``/v1/traces`` hot path, not
+    just the profiler inner loop.  The gated ``normalized_rate`` divides
+    it by the calibration rate sampled around the runs.
     """
     from repro.traces import TraceParams, run_trace
 
-    accesses = 20_000 if quick else 60_000
+    accesses = 60_000
     params = TraceParams.create(
         source="powerlaw", units=[0.48], accesses=accesses,
         working_set_lines=1 << 13,
     )
-    # Warm-up: imports, numpy init, allocator growth.
-    run_trace(TraceParams.create(source="powerlaw", units=[0.48],
-                                 accesses=2000,
-                                 working_set_lines=1024))
-    elapsed = math.inf
-    for _ in range(3):  # best-of-3 shaves scheduler noise
-        start = time.perf_counter()
-        artifact = run_trace(params)
-        elapsed = min(elapsed, time.perf_counter() - start)
+    artifact = run_trace(params)  # warm-up: imports, numpy init
+
+    def trace_seconds() -> float:
+        elapsed = math.inf
+        for _ in range(3):  # best-of-3 shaves scheduler noise
+            start = time.perf_counter()
+            run_trace(params)
+            elapsed = min(elapsed, time.perf_counter() - start)
+        return elapsed
+
+    seconds, work = _rounds(trace_seconds)
     unit = artifact["units"][0]
     return {
         "accesses": accesses,
         "capacities": len(params.line_counts),
-        "seconds": round(elapsed, 4),
-        "accesses_per_sec": round(accesses / elapsed, 1),
+        "seconds": round(seconds, 4),
+        "accesses_per_sec": round(accesses / seconds, 1),
+        "normalized_rate": round(accesses / work, 4),
         "fitted_alpha": round(unit["yavits_fit"]["alpha"], 4),
     }
 
 
-def measure_scaleout(quick: bool) -> Dict[str, Any]:
+def measure_scaleout() -> Dict[str, Any]:
     """Pre-fork serving and worker-fleet scaling, measured honestly.
 
     Both halves boot real subprocesses — ``serve --processes N``
@@ -398,9 +420,9 @@ def measure_scaleout(quick: bool) -> Dict[str, Any]:
     from repro.service.client import ServiceClient
 
     cpu_count = os.cpu_count() or 1
-    processes = 2 if quick else 4
-    threads = 4 if quick else 8
-    per_thread = 15 if quick else 40
+    processes = 4
+    threads = 8
+    per_thread = 40
     distinct = 10
 
     def serve_throughput(n: int) -> float:
@@ -454,7 +476,7 @@ def measure_scaleout(quick: bool) -> Dict[str, Any]:
         ceas=tuple(16.0 + 8.0 * i for i in range(10)),
         budgets=(1.0, 2.0, 4.0), alpha=0.5, chunk_size=5,
     )
-    backlog = 2 * processes if quick else 4 * processes
+    backlog = 4 * processes
 
     def fleet_drain(n: int) -> float:
         state_dir = tempfile.mkdtemp(prefix="bench-fleet-")
@@ -508,18 +530,17 @@ def measure_scaleout(quick: bool) -> Dict[str, Any]:
     }
 
 
-def run_trajectory(quick: bool) -> Dict[str, Any]:
+def run_trajectory() -> Dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
-        "mode": "quick" if quick else "full",
         "calibration": measure_calibration(),
         "solver": measure_solver(),
-        "sweeps": measure_sweeps(quick),
-        "service": measure_service(quick),
+        "sweeps": measure_sweeps(),
+        "service": measure_service(),
         "powerlaw": measure_powerlaw(),
-        "optimize": measure_optimize(quick),
-        "traces": measure_traces(quick),
-        "scaleout": measure_scaleout(quick),
+        "optimize": measure_optimize(),
+        "traces": measure_traces(),
+        "scaleout": measure_scaleout(),
     }
 
 
@@ -538,9 +559,8 @@ def run_trajectory(quick: bool) -> Dict[str, Any]:
 #: normalized_work / the speedups cover the same regressions.
 GATED_METRICS: Tuple[Tuple[Tuple[str, ...], str, float], ...] = (
     # fig9 is measured but NOT gated: the sweep is sub-millisecond,
-    # and its best-case floor shifts with how warm the process is
-    # (full runs reach it after fig1's 14 s, quick runs never do), so
-    # any cross-mode comparison of it gates on warm-up, not the code.
+    # and its best-case floor shifts with how warm the process is, so
+    # gating it would gate on warm-up, not the code.
     # Sweep wall-times get 1.5x: normalized_work divides one noisy
     # timing by another (the bracketing calibration), and on shared
     # hosts the residual after that cancellation still runs ~10% each
@@ -549,8 +569,8 @@ GATED_METRICS: Tuple[Tuple[Tuple[str, ...], str, float], ...] = (
     (("sweeps", "fig1", "normalized_work"), "lower", 1.5),
     (("sweeps", "ext-validation", "normalized_work"), "lower", 1.5),
     (("powerlaw", "speedup"), "higher", 2.0),
-    (("optimize", "points_per_sec"), "higher", 2.0),
-    (("traces", "accesses_per_sec"), "higher", 2.0),
+    (("optimize", "normalized_rate"), "higher", 2.0),
+    (("traces", "normalized_rate"), "higher", 2.0),
     # Scale-out ratios compare two separately booted subprocess
     # groups, so they carry boot/scheduler noise on both sides of the
     # division — they get a wider allowance than in-process speedups.
@@ -629,8 +649,6 @@ def run_gate(new_path: str, baseline_path: str, threshold: float) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller grids and request counts (CI)")
     parser.add_argument("--output", default=None,
                         help="write the artifact here (default: stdout)")
     parser.add_argument("--gate", default=None, metavar="NEW",
@@ -647,7 +665,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("--gate and --against must be used together")
         return run_gate(args.gate, args.against, args.threshold)
 
-    artifact = run_trajectory(quick=args.quick)
+    artifact = run_trajectory()
     text = json.dumps(artifact, indent=1) + "\n"
     if args.output:
         with open(args.output, "w") as handle:

@@ -20,7 +20,8 @@ under an MSI protocol with a full-map directory:
 The measured quantities the model cares about: off-chip fetches (the
 traffic side), and the *replication factor* — average copies per
 distinct resident line — which is exactly the capacity the private
-organisation wastes relative to a shared cache.
+organisation wastes relative to a shared cache.  :func:`replay_private`
+measures both for a whole trace at once, over plain ints.
 """
 
 from __future__ import annotations
@@ -29,7 +30,12 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-__all__ = ["MSIState", "PrivateCacheSystem", "CoherenceStats"]
+import numpy as np
+
+from ..workloads.address_stream import TraceColumns
+
+__all__ = ["MSIState", "PrivateCacheSystem", "CoherenceStats",
+           "replay_private"]
 
 
 class MSIState(enum.Enum):
@@ -275,3 +281,139 @@ class PrivateCacheSystem:
     @property
     def distinct_resident_lines(self) -> int:
         return len(self._directory)
+
+
+def replay_private(
+    trace: TraceColumns,
+    num_cores: int,
+    l2_bytes_per_core: int,
+    line_bytes: int = 64,
+    associativity: int = 8,
+) -> Tuple[CoherenceStats, float]:
+    """``(stats, replication_factor)`` of a :class:`PrivateCacheSystem`
+    after replaying ``trace`` into it, without its per-line objects.
+
+    The same MSI protocol over plain ints: each core's set is an
+    insertion-ordered dict ``line -> dirty``, least recent first (a hit
+    re-inserts its line; the victim is the first key), and the directory
+    maps ``line -> bitmask of holders``.  Raises :class:`ValueError`
+    where the system would (a bad geometry, a core id out of range, no
+    line resident to measure), and :class:`AssertionError` where
+    :meth:`PrivateCacheSystem.check_invariants` would, checked at the end.
+    """
+    if num_cores < 1:
+        raise ValueError(f"num_cores must be >= 1, got {num_cores}")
+    if line_bytes <= 0 or l2_bytes_per_core % line_bytes:
+        raise ValueError("per-core size must be whole lines")
+    lines_per_core = l2_bytes_per_core // line_bytes
+    if associativity < 1 or lines_per_core < associativity \
+            or lines_per_core % associativity:
+        raise ValueError("lines must divide evenly into sets")
+    num_sets = lines_per_core // associativity
+    if num_sets & (num_sets - 1):
+        raise ValueError(f"set count {num_sets} not a power of two")
+    cores = trace.core_id
+    bad = np.flatnonzero((cores < 0) | (cores >= num_cores))
+    if len(bad):
+        raise ValueError(f"core_id {cores[bad[0]]} out of range for "
+                         f"{num_cores} cores")
+    lines = trace.address // np.uint64(line_bytes)
+    sets = lines & np.uint64(num_sets - 1)
+
+    # caches[core * num_sets + set]: that set's lines, LRU first.
+    caches: List[Dict[int, bool]] = [
+        {} for _ in range(num_cores * num_sets)
+    ]
+    directory: Dict[int, int] = {}
+    hits = offchip = transfers = upgrades = invalidations = writebacks = 0
+    for line, set_index, core, write in zip(
+            lines.tolist(), sets.tolist(), cores.tolist(),
+            trace.is_write.tolist()):
+        bit = 1 << core
+        cache = caches[core * num_sets + set_index]
+        dirty = cache.pop(line, None)
+        if dirty is not None:
+            hits += 1
+            if write and not dirty:
+                # Upgrade: invalidate every peer copy.
+                upgrades += 1
+                peers = directory[line] & ~bit
+                while peers:
+                    low = peers & -peers
+                    peers ^= low
+                    del caches[(low.bit_length() - 1) * num_sets
+                               + set_index][line]
+                    invalidations += 1
+                directory[line] = bit
+                dirty = True
+            cache[line] = dirty
+            continue
+
+        holders = directory.get(line, 0)
+        if holders:
+            transfers += 1
+            peers = holders
+            while peers:
+                low = peers & -peers
+                peers ^= low
+                peer = caches[(low.bit_length() - 1) * num_sets + set_index]
+                if write:
+                    del peer[line]
+                    invalidations += 1
+                elif peer[line]:
+                    peer[line] = False  # Modified -> Shared, in place
+            if write:
+                holders = 0
+        else:
+            offchip += 1
+        if len(cache) >= associativity:
+            victim = next(iter(cache))
+            if cache.pop(victim):
+                writebacks += 1
+            remaining = directory[victim] & ~bit
+            if remaining:
+                directory[victim] = remaining
+            else:
+                del directory[victim]
+        cache[line] = write
+        directory[line] = holders | bit
+
+    copies = _checked_copies(caches, directory, num_sets)
+    if not directory:
+        raise ValueError("no lines resident")
+    stats = CoherenceStats(
+        accesses=len(trace), hits=hits, offchip_fetches=offchip,
+        cache_to_cache_transfers=transfers, upgrades=upgrades,
+        invalidations_sent=invalidations, writebacks=writebacks,
+    )
+    return stats, copies / len(directory)
+
+
+def _checked_copies(caches: List[Dict[int, bool]],
+                    directory: Dict[int, int], num_sets: int) -> int:
+    """Resident copies of :func:`replay_private`'s state, after
+    :meth:`PrivateCacheSystem.check_invariants` on it: a Modified line
+    has exactly one holder, and the directory matches the caches."""
+    copies = 0
+    for line, holders in directory.items():
+        states = []
+        while holders:
+            low = holders & -holders
+            holders ^= low
+            states.append(caches[(low.bit_length() - 1) * num_sets
+                                 + (line & (num_sets - 1))].get(line))
+        if None in states:
+            raise AssertionError(
+                f"directory lists a non-holder for line {line}")
+        if True in states and len(states) > 1:
+            raise AssertionError(
+                f"line {line} is Modified with {len(states)} holders")
+        copies += len(states)
+    for slot, cache in enumerate(caches):
+        core = slot // num_sets
+        for line in cache:
+            if not directory.get(line, 0) >> core & 1:
+                raise AssertionError(
+                    f"core {core} holds line {line} unknown to the "
+                    "directory")
+    return copies

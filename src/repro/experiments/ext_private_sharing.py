@@ -7,7 +7,11 @@ The analytic variant lives in :class:`repro.core.sharing
 .DataSharingModel`; this experiment *measures* both organisations on
 the same PARSEC-like traces: the shared L2's off-chip fetch rate vs the
 MSI private-cache system's, plus the measured replication factor that
-drives the difference.
+drives the difference.  Both are offline replays of the whole trace
+(:func:`~repro.cache.set_assoc.lru_misses` for the shared L2,
+:func:`~repro.cache.coherence.replay_private` for the private caches),
+equal to feeding :class:`~repro.cache.shared_l2.SharedL2Cache` and
+:class:`~repro.cache.coherence.PrivateCacheSystem` one access at a time.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
+
 from ..analysis.series import FigureData, Series
-from ..cache.coherence import PrivateCacheSystem
-from ..cache.shared_l2 import SharedL2Cache
+from ..cache.coherence import replay_private
+from ..cache.set_assoc import lru_misses
 from ..workloads.parsec_like import ParsecLikeWorkload
 
 __all__ = ["ExtPrivateSharingResult", "run"]
@@ -40,29 +46,15 @@ def run(
     by_cores: Dict[int, Tuple[float, float, float]] = {}
     for cores in core_counts:
         workload = ParsecLikeWorkload(num_threads=cores, seed=seed)
-        # Columns, iterated once per organisation: 13 bytes per access
-        # where a list of records holds a ~100-byte object per access.
-        accesses = workload.columns(accesses_per_core * cores)
-
-        shared = SharedL2Cache(size_bytes=total_cache_bytes,
-                               num_cores=cores)
-        for access in accesses:
-            shared.access(access.address, core_id=access.core_id,
-                          is_write=access.is_write)
-        shared_rate = shared.stats.misses / shared.stats.accesses
-
-        private = PrivateCacheSystem(
-            num_cores=cores,
-            l2_bytes_per_core=total_cache_bytes // cores,
-        )
-        for access in accesses:
-            private.access(access.address, core_id=access.core_id,
-                           is_write=access.is_write)
-        private.check_invariants()
+        trace = workload.columns(accesses_per_core * cores)
+        # The shared L2: 64-byte lines, 16 ways.
+        shared_misses = lru_misses(trace.address, total_cache_bytes, 64, 16)
+        private, replication = replay_private(
+            trace, cores, total_cache_bytes // cores)
         by_cores[cores] = (
-            shared_rate,
-            private.stats.offchip_fetch_rate,
-            private.replication_factor,
+            int(np.count_nonzero(shared_misses)) / len(trace),
+            private.offchip_fetch_rate,
+            replication,
         )
 
     figure = FigureData(

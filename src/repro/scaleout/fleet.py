@@ -27,7 +27,12 @@ from typing import List, Optional, Union
 
 from ..jobs.store import JobStore
 from ..jobs.worker import Worker
-from .procutil import hold_stop_signals, release_stop_signals, supervise
+from .procutil import (
+    hold_stop_signals,
+    release_stop_signals,
+    require_single_thread,
+    supervise,
+)
 
 __all__ = ["run_fleet"]
 
@@ -79,6 +84,7 @@ def run_fleet(state_dir: Union[str, Path], *, processes: int,
     pids: List[int] = []
     hold_stop_signals()  # released once each process has its handlers
     for _ in range(processes):
+        require_single_thread()
         pid = os.fork()
         if pid == 0:
             code = 1

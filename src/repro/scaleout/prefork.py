@@ -57,7 +57,12 @@ from ..service.app import (
     _RequestHandler,
     _ServiceHTTPServer,
 )
-from .procutil import hold_stop_signals, release_stop_signals, supervise
+from .procutil import (
+    hold_stop_signals,
+    release_stop_signals,
+    require_single_thread,
+    supervise,
+)
 from .shared_cache import SharedCacheTier
 
 __all__ = ["create_listening_socket", "serve_prefork"]
@@ -138,6 +143,7 @@ def serve_prefork(config: ServiceConfig) -> int:
         # child's, and the supervisor's in supervise().
         hold_stop_signals()
         for index in range(config.processes):
+            require_single_thread()
             pid = os.fork()
             if pid == 0:
                 code = 1

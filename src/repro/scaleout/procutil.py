@@ -13,6 +13,10 @@ supervisor and orphan the children.  So supervisors call
 every process of the group until that process installed its handlers
 and called :func:`release_stop_signals` (:func:`supervise` does so for
 the supervisor).
+
+Every fork is preceded by :func:`require_single_thread`: a child gets
+only the forking thread, so a lock another thread held at the fork
+stays held in the child forever.
 """
 
 from __future__ import annotations
@@ -23,10 +27,25 @@ import threading
 import time
 from typing import Dict, Sequence, Tuple
 
-__all__ = ["hold_stop_signals", "release_stop_signals", "supervise"]
+__all__ = [
+    "hold_stop_signals",
+    "release_stop_signals",
+    "require_single_thread",
+    "supervise",
+]
 
 #: Signals that stop a supervised group.
 STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+def require_single_thread() -> None:
+    """Raise :class:`RuntimeError` naming the live threads unless the
+    caller's is the only one: call it right before ``os.fork()``."""
+    if threading.active_count() != 1:
+        names = ", ".join(thread.name for thread in threading.enumerate())
+        raise RuntimeError(
+            f"refusing to fork with {threading.active_count()} live "
+            f"threads: {names}")
 
 
 def hold_stop_signals() -> None:

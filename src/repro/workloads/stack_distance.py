@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 #: Accesses per kernel run when profiling a long stream: bounds the
-#: kernel's temporaries (about 40 bytes per access) for file traces.
+#: kernel's temporaries (about 50 bytes per access) for file traces.
 _KERNEL_BATCH = 1 << 20
 
 
@@ -304,6 +304,21 @@ def _moved(array: np.ndarray, destination: np.ndarray) -> np.ndarray:
     return moved
 
 
+def _partitioned(index: np.ndarray, zeros_before: np.ndarray,
+                 ones: np.ndarray, total: np.ndarray,
+                 dtype: type = np.int32) -> np.ndarray:
+    """Where ``index`` lands when zeros stably precede ones: its
+    ``zeros_before`` for a 0 bit, else ``total`` zeros plus its
+    ``index - zeros_before`` ones.  Plain arithmetic on the 0/1
+    ``ones``, which costs a fraction of a masked copy."""
+    landed = np.subtract(index, zeros_before, dtype=dtype)
+    landed += total
+    landed -= zeros_before
+    landed *= ones
+    landed += zeros_before
+    return landed
+
+
 def _smaller_before(values: np.ndarray) -> np.ndarray:
     """``#{k < i : values[k] < values[i]}`` for every ``i`` (int32).
 
@@ -322,25 +337,22 @@ def _smaller_before(values: np.ndarray) -> np.ndarray:
     position = np.arange(size, dtype=np.int32)
     zeros_before = np.zeros(size + 1, dtype=np.int32)
     for bit in range(int(values.max(initial=0)).bit_length() - 1, -1, -1):
-        zeros = ((values >> bit) & 1) == 0
-        ones = ~zeros
-        np.cumsum(zeros, out=zeros_before[1:])
+        ones = (values >> bit) & 1
+        np.cumsum(ones == 0, out=zeros_before[1:])
         total = zeros_before[-1]
         at_low = zeros_before[low]
         at_high = zeros_before[:-1]
-        # Where the bit is 1, count the range's zeros.
-        np.add(counts, at_high, out=counts, where=ones)
-        np.subtract(counts, at_low, out=counts, where=ones)
         # Both the range's left end and the element move to the next
-        # level's order: zeros keep their rank among zeros, ones follow
-        # all zeros in their rank among ones.
-        low -= at_low
-        low += total
-        np.copyto(low, at_low, where=zeros)
-        destination = position - at_high
-        destination += total
-        np.copyto(destination, at_high, where=zeros)
-        del zeros, ones, at_low
+        # level's order.
+        low = _partitioned(low, at_low, ones, total)
+        # intp: numpy would convert an int32 index once per scatter.
+        destination = _partitioned(position, at_high, ones, total,
+                                   np.intp)
+        # Where the bit is 1, count the range's zeros.
+        range_zeros = np.subtract(at_high, at_low, out=at_low)
+        range_zeros *= ones
+        counts += range_zeros
+        del ones, at_low, range_zeros
         values = _moved(values, destination)
         counts = _moved(counts, destination)
         low = _moved(low, destination)
@@ -357,10 +369,16 @@ def _distances(previous: np.ndarray) -> np.ndarray:
     (p, i) : p_k < p}`` (each line touched in between counts once, at
     its first touch there).  Every ``k <= p`` has ``p_k < k <= p``, so
     that is ``#{k < i : p_k < p} - p``: one dominance count over ``p``.
+    A first touch (``p_k = -1``) before ``i`` always counts, so only the
+    reuses go through :func:`_smaller_before`, and a reuse adds the
+    first touches before it to its count among the reuses.
     """
-    shifted = previous + 1  # non-negative, same order
-    distances = _smaller_before(shifted) - previous
-    distances[previous < 0] = 0
+    reused = previous >= 0
+    counts = _smaller_before(previous[reused])
+    counts += np.cumsum(~reused, dtype=np.int32)[reused]
+    counts -= previous[reused]
+    distances = np.zeros(len(previous), dtype=np.int32)
+    distances[reused] = counts
     return distances
 
 

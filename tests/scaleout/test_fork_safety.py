@@ -20,6 +20,7 @@ from repro.jobs.executor import (
 from repro.jobs.spec import JobSpec
 from repro.jobs.store import RUNNING, SUCCEEDED, JobStore
 from repro.jobs.worker import Worker
+from repro.scaleout.procutil import require_single_thread
 from repro.scaleout.shared_cache import SharedCacheTier
 
 pytestmark = pytest.mark.skipif(
@@ -29,19 +30,11 @@ pytestmark = pytest.mark.skipif(
 SPEC = JobSpec(kind="experiments", ids=("fig13",))
 
 
-def assert_single_threaded() -> None:
-    """Fork only from a single-threaded process: a thread alive at the
-    fork may hold a lock the child inherits locked forever."""
-    assert threading.active_count() == 1, [
-        thread.name for thread in threading.enumerate()
-    ]
-
-
 def run_in_child(target) -> int:
     """Fork, run ``target()`` in the child, return the child's exit
     code (0 only if target neither raised nor returned falsy-failure).
     """
-    assert_single_threaded()
+    require_single_thread()
     pid = os.fork()
     if pid == 0:
         code = 1
@@ -55,6 +48,27 @@ def run_in_child(target) -> int:
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     return os.waitstatus_to_exitcode(status)
+
+
+# -- the fork guard ----------------------------------------------------
+
+
+def test_fork_guard_passes_a_single_thread():
+    require_single_thread()
+
+
+def test_fork_guard_names_a_live_thread():
+    release = threading.Event()
+    extra = threading.Thread(target=release.wait, name="extra-thread")
+    extra.start()
+    try:
+        with pytest.raises(RuntimeError, match="2 live threads: "
+                           "MainThread, extra-thread"):
+            require_single_thread()
+    finally:
+        release.set()
+        extra.join()
+    require_single_thread()
 
 
 # -- JobStore connections ----------------------------------------------
@@ -141,7 +155,7 @@ def test_forked_child_lease_is_owned_by_stamped_identity(tmp_path):
     leased_read, leased_write = os.pipe()
     release_read, release_write = os.pipe()
 
-    assert_single_threaded()
+    require_single_thread()
     pid = os.fork()
     if pid == 0:
         code = 1

@@ -23,12 +23,11 @@ def artifact(speedup=5.0, sweep_work=100.0, powerlaw_speedup=1.2,
              optimize_rate=10_000.0):
     return {
         "schema": 1,
-        "mode": "full",
         "solver": {"speedup": speedup, "grid_points": 10_000},
         "sweeps": {"ext-validation": {"seconds": 6.0,
                                       "normalized_work": sweep_work}},
         "powerlaw": {"speedup": powerlaw_speedup},
-        "optimize": {"points": 768, "points_per_sec": optimize_rate},
+        "optimize": {"points": 768, "normalized_rate": optimize_rate},
     }
 
 
@@ -70,19 +69,20 @@ class TestCompareArtifacts:
         assert len(failures) == 3
 
     def test_missing_sections_are_skipped(self):
-        """A quick artifact (no fig1 sweep) gated against a full
-        baseline must only compare the metrics both sides have."""
+        """An artifact without a section the baseline has (here the
+        fig1 sweep) must only compare the metrics both sides have."""
         new = artifact()
         baseline = artifact()
         baseline["sweeps"]["fig1"] = {"normalized_work": 5000.0}
         assert compare_artifacts(new, baseline) == []
 
     def test_optimize_rate_regression_fails(self):
-        # optimize.points_per_sec carries the 2x timing allowance.
+        # optimize.normalized_rate (points/s over the calibration
+        # rate) carries the 2x timing allowance.
         new = artifact(optimize_rate=10_000.0 * 0.65)
         failures = compare_artifacts(new, artifact())
         assert len(failures) == 1
-        assert "optimize.points_per_sec" in failures[0]
+        assert "optimize.normalized_rate" in failures[0]
 
     def test_baseline_without_optimize_section_passes(self):
         """BENCH artifacts recorded before the optimizer existed must

@@ -15,8 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.coherence import (
+    PrivateCacheSystem,
+    _checked_copies,
+    replay_private,
+)
 from repro.cache.set_assoc import SetAssociativeCache, lru_misses
 from repro.cache.shared_l2 import SharedL2Cache, replay_shared_fraction
+from repro.experiments import ext_private_sharing
 from repro.traces.synthesis import trace_source_streams
 from repro.workloads import bulk_random
 from repro.workloads.address_stream import MemoryAccess, TraceColumns
@@ -25,6 +31,7 @@ from repro.workloads.spec2006 import DiscreteWorkingSetGenerator
 from repro.workloads.stack_distance import (
     PowerLawTraceGenerator,
     StackDistanceProfiler,
+    _smaller_before,
     stack_distances,
 )
 
@@ -278,7 +285,9 @@ lines_large = st.lists(st.integers(0, 2**64 - 1), max_size=200).map(
 
 class TestKernelOracle:
     @settings(max_examples=60, deadline=None)
-    @given(lines=st.one_of(lines_small, lines_large))
+    @given(lines=st.one_of(
+        lines_small, lines_large,
+        st.lists(st.integers(0, 2**64 - 1), unique=True, max_size=300)))
     def test_distances_match_fenwick(self, lines):
         expected = FenwickProfiler(4)
         want = [expected.record(line) for line in lines]
@@ -340,6 +349,30 @@ class TestKernelOracle:
         assert batched.miss_curve([4, 50, 400]).miss_rates \
             == whole.miss_curve([4, 50, 400]).miss_rates
         assert batched.distinct_lines == whole.distinct_lines
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=lines_small.filter(bool))
+    def test_batch_without_first_touches(self, lines):
+        """Every access of the measured batch is a reuse: the kernel's
+        first touches are exactly the replayed stack."""
+        seen = list(dict.fromkeys(lines))
+        profiler, oracle = _profile_both(seen + lines, len(seen))
+        assert profiler.cold_misses == oracle.cold == 0
+        histogram = {d: int(c) for d, c
+                     in enumerate(profiler._histogram) if d and c}
+        assert histogram == oracle.histogram
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.one_of(
+        st.lists(st.integers(0, 7), max_size=300),
+        st.lists(st.integers(0, 2**31 - 1), max_size=100),
+        st.permutations(range(200))))
+    def test_smaller_before_counts(self, values):
+        """The rank kernel alone, on any non-negative values."""
+        expected = [sum(v < value for v in values[:i])
+                    for i, value in enumerate(values)]
+        got = _smaller_before(np.asarray(values, dtype=np.int32))
+        assert got.tolist() == expected
 
     def test_wide_addresses_are_refused(self):
         profiler = StackDistanceProfiler()
@@ -481,3 +514,135 @@ class TestSetAssociative:
                                np.array([0, 1, 4], np.int32))
         with pytest.raises(ValueError, match="core ids"):
             replay_shared_fraction(columns, 4096, 4)
+
+
+# ----------------------------------------------------------------------
+# MSI private caches
+# ----------------------------------------------------------------------
+
+
+def _outcome(call):
+    """``call()``, or the type and message of the error it raised."""
+    try:
+        return call()
+    except (ValueError, AssertionError) as error:
+        return type(error), str(error)
+
+
+def _private_per_access(trace, cores, per_core_bytes, ways):
+    system = PrivateCacheSystem(cores, per_core_bytes, 64, ways)
+    for access in trace:
+        system.access(access.address, access.core_id, access.is_write)
+    system.check_invariants()
+    return system.stats, system.replication_factor
+
+
+@st.composite
+def private_cases(draw):
+    """A geometry and a trace over twice the lines one core holds, so
+    evictions, upgrades, invalidations and Modified -> Shared
+    downgrades all occur; in one trace in four, one access has a core
+    id out of range."""
+    cores = draw(st.integers(1, 8))
+    ways = draw(st.integers(1, 8))
+    sets = draw(st.sampled_from([1, 2, 4, 8]))
+    write_fraction = draw(st.floats(0, 1))
+    accesses = draw(st.lists(st.tuples(
+        st.integers(0, 2 * ways * sets), st.integers(0, 63),
+        st.integers(0, cores - 1), st.floats(0, 1, exclude_max=True)),
+        max_size=400))
+    core_ids = [core for _, _, core, _ in accesses]
+    if accesses and draw(st.integers(0, 3)) == 0:
+        core_ids[draw(st.integers(0, len(accesses) - 1))] = \
+            draw(st.sampled_from([-1, cores]))
+    trace = TraceColumns(
+        np.asarray([line * 64 + offset for line, offset, _, _ in accesses],
+                   dtype=np.uint64),
+        np.asarray([u < write_fraction for _, _, _, u in accesses], bool),
+        np.asarray(core_ids, dtype=np.int32))
+    return trace, cores, ways * sets * 64, ways
+
+
+class TestPrivateReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(case=private_cases())
+    def test_matches_private_cache_system(self, case):
+        trace, cores, per_core_bytes, ways = case
+        assert _outcome(lambda: replay_private(trace, cores, per_core_bytes,
+                                               64, ways)) \
+            == _outcome(lambda: _private_per_access(*case))
+
+    @pytest.mark.parametrize("geometry", [
+        (0, 1024, 64, 2), (2, 100, 64, 2), (2, 192, 64, 2),
+        (2, 1536, 64, 8), (2, 1024, 0, 2),
+    ])
+    def test_bad_geometries_raise_like_the_system(self, geometry):
+        trace = TraceColumns(np.zeros(1, np.uint64), np.zeros(1, bool),
+                             np.zeros(1, np.int32))
+        with pytest.raises(ValueError) as expected:
+            PrivateCacheSystem(*geometry)
+        with pytest.raises(ValueError) as got:
+            replay_private(trace, *geometry)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("geometry", [(2, 1024, 64, 0),
+                                          (2, 0, 64, 2)])
+    def test_empty_geometries_are_refused(self, geometry):
+        trace = TraceColumns(np.zeros(1, np.uint64), np.zeros(1, bool),
+                             np.zeros(1, np.int32))
+        with pytest.raises(ValueError):
+            replay_private(trace, *geometry)
+
+
+    @pytest.mark.parametrize("caches,directory,message", [
+        # Two cores, two sets: caches[core * 2 + set] maps line -> dirty.
+        ([{0: False}, {}, {}, {}], {0: 0b11},
+         "directory lists a non-holder for line 0"),
+        ([{}, {1: True}, {}, {1: False}], {1: 0b11},
+         "line 1 is Modified with 2 holders"),
+        ([{}, {}, {2: False}, {}], {},
+         "core 1 holds line 2 unknown to the directory"),
+    ])
+    def test_invariant_check_catches_broken_states(self, caches, directory,
+                                                   message):
+        with pytest.raises(AssertionError, match=message):
+            _checked_copies(caches, directory, 2)
+
+    def test_invariant_check_counts_copies(self):
+        caches = [{0: False}, {1: True}, {0: False, 2: True}, {}]
+        assert _checked_copies(caches, {0: 0b11, 1: 0b01, 2: 0b10}, 2) == 4
+
+
+def test_ext_sharing_checks_every_replay(monkeypatch):
+    from repro.cache import coherence
+
+    checked = []
+
+    def counting(*args):
+        checked.append(True)
+        return _checked_copies(*args)
+
+    monkeypatch.setattr(coherence, "_checked_copies", counting)
+    ext_private_sharing.run(core_counts=(2, 4), accesses_per_core=500)
+    assert len(checked) == 2
+
+
+@pytest.mark.parametrize("cores", [4, 8])
+def test_ext_sharing_matches_per_access_replays(cores):
+    """ext-sharing's offline replays equal feeding its own traces to
+    ``SharedL2Cache`` and ``PrivateCacheSystem`` one access at a time."""
+    total_bytes, per_core = 2 * 1024 * 1024, 15_000
+    trace = ParsecLikeWorkload(num_threads=cores, seed=0) \
+        .columns(per_core * cores)
+    shared = SharedL2Cache(total_bytes, num_cores=cores)
+    for access in trace:
+        shared.access(access.address, core_id=access.core_id,
+                      is_write=access.is_write)
+    private, replication = _private_per_access(trace, cores,
+                                               total_bytes // cores, 8)
+    result = ext_private_sharing.run(core_counts=(cores,),
+                                     total_cache_bytes=total_bytes,
+                                     accesses_per_core=per_core)
+    assert result.by_cores[cores] == (
+        shared.stats.misses / shared.stats.accesses,
+        private.offchip_fetch_rate, replication)
