@@ -23,12 +23,12 @@ performance story over time:
   second through the one-pass stack-distance pipeline (synthesis,
   Mattson profiling, curve evaluation and the Yavits fit end to end),
   also divided by the calibration rate for the gate.
-* **scaleout** — pre-fork serving throughput (1 process vs N over the
-  shared cache tier) and worker-fleet drain speedup (1 claimer vs N
-  over one job store), measured against real subprocesses.  The
-  section records ``cpu_count`` because both ratios are physically
-  bounded by it: near 1.0 on a single-core host, >=2.5x serving and
-  >=3x fleet on a 4-core host.
+* **scaleout** — pre-fork serving throughput (1 process vs N behind
+  one port) and worker-fleet drain speedup (1 claimer vs N over one
+  job store), measured against real subprocesses.  The section
+  records ``cpu_count`` because both ratios are physically bounded by
+  it: near 1.0 on a single-core host, >=2.5x serving and >=3x fleet
+  on a 4-core host.
 
 Usage::
 
@@ -398,10 +398,9 @@ def measure_scaleout() -> Dict[str, Any]:
     """Pre-fork serving and worker-fleet scaling, measured honestly.
 
     Both halves boot real subprocesses — ``serve --processes N``
-    behind one port with the shared cache tier, and
-    ``repro.jobs.worker --processes N`` racing over one job store —
-    and compare them against their single-process shapes on the same
-    work.  The gated ratios (``serve.throughput_scale``,
+    behind one port, and ``repro.jobs.worker --processes N`` racing
+    over one job store — and compare them against their single-process
+    shapes on the same work.  The gated ratios (``serve.throughput_scale``,
     ``fleet.speedup``) are bounded by the machine's core count, which
     is why ``cpu_count`` is recorded alongside them: a 1-core host
     pins both near 1.0 and the gate then only defends against the
@@ -434,9 +433,6 @@ def measure_scaleout() -> Dict[str, Any]:
                    "--port", str(port), "--processes", str(n),
                    "--workers", "4", "--job-workers", "1",
                    "--state-dir", os.path.join(base, "jobs")]
-        if n > 1:
-            command += ["--shared-cache-dir",
-                        os.path.join(base, "shared")]
         server = subprocess.Popen(command, stdout=subprocess.DEVNULL,
                                   stderr=subprocess.STDOUT)
         try:

@@ -67,15 +67,28 @@ class CoherenceStats:
         return self.offchip_fetches / self.accesses
 
 
+def _sets_per_core(num_cores: int, l2_bytes_per_core: int,
+                   line_bytes: int, associativity: int) -> int:
+    """Sets in each core's cache; :class:`ValueError` for a geometry
+    that holds no line or does not split into power-of-two sets."""
+    if num_cores < 1:
+        raise ValueError(f"num_cores must be >= 1, got {num_cores}")
+    if line_bytes <= 0 or l2_bytes_per_core % line_bytes:
+        raise ValueError("per-core size must be whole lines")
+    lines = l2_bytes_per_core // line_bytes
+    if associativity < 1 or lines < associativity or lines % associativity:
+        raise ValueError("lines must divide evenly into sets")
+    num_sets = lines // associativity
+    if num_sets & (num_sets - 1):
+        raise ValueError(f"set count {num_sets} not a power of two")
+    return num_sets
+
+
 class _PrivateCache:
     """One core's private set-associative cache with MSI line states."""
 
-    def __init__(self, lines: int, associativity: int) -> None:
-        if lines % associativity:
-            raise ValueError("lines must divide evenly into sets")
-        self.num_sets = lines // associativity
-        if self.num_sets & (self.num_sets - 1):
-            raise ValueError(f"set count {self.num_sets} not a power of two")
+    def __init__(self, num_sets: int, associativity: int) -> None:
+        self.num_sets = num_sets
         self.associativity = associativity
         # per set: recency-ordered list of (line_addr, state); LRU first
         self._sets: List[List[Tuple[int, MSIState]]] = [
@@ -143,15 +156,12 @@ class PrivateCacheSystem:
         line_bytes: int = 64,
         associativity: int = 8,
     ) -> None:
-        if num_cores < 1:
-            raise ValueError(f"num_cores must be >= 1, got {num_cores}")
-        if line_bytes <= 0 or l2_bytes_per_core % line_bytes:
-            raise ValueError("per-core size must be whole lines")
-        lines = l2_bytes_per_core // line_bytes
+        num_sets = _sets_per_core(num_cores, l2_bytes_per_core, line_bytes,
+                                  associativity)
         self.num_cores = num_cores
         self.line_bytes = line_bytes
         self._caches = [
-            _PrivateCache(lines, associativity) for _ in range(num_cores)
+            _PrivateCache(num_sets, associativity) for _ in range(num_cores)
         ]
         #: line -> set of cores currently holding it.
         self._directory: Dict[int, Set[int]] = {}
@@ -301,17 +311,8 @@ def replay_private(
     line resident to measure), and :class:`AssertionError` where
     :meth:`PrivateCacheSystem.check_invariants` would, checked at the end.
     """
-    if num_cores < 1:
-        raise ValueError(f"num_cores must be >= 1, got {num_cores}")
-    if line_bytes <= 0 or l2_bytes_per_core % line_bytes:
-        raise ValueError("per-core size must be whole lines")
-    lines_per_core = l2_bytes_per_core // line_bytes
-    if associativity < 1 or lines_per_core < associativity \
-            or lines_per_core % associativity:
-        raise ValueError("lines must divide evenly into sets")
-    num_sets = lines_per_core // associativity
-    if num_sets & (num_sets - 1):
-        raise ValueError(f"set count {num_sets} not a power of two")
+    num_sets = _sets_per_core(num_cores, l2_bytes_per_core, line_bytes,
+                              associativity)
     cores = trace.core_id
     bad = np.flatnonzero((cores < 0) | (cores >= num_cores))
     if len(bad):

@@ -103,12 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
                              "per process (default 8)")
     parser.add_argument("--processes", type=int, default=1,
                         help="[serve] pre-forked server processes "
-                             "sharing the port and cache tier; 1 keeps "
+                             "sharing the port and job store; 1 keeps "
                              "the single-process server (default 1)")
+    # Accepted so older command lines keep working; _serve says it is
+    # ignored.
     parser.add_argument("--shared-cache-dir", default=None,
-                        help="[serve] shared cache tier directory for "
-                             "multi-process mode (default: a temporary "
-                             "one per group)")
+                        help=argparse.SUPPRESS)
     parser.add_argument("--cache-ttl", type=float, default=300.0,
                         help="[serve] response cache TTL in seconds, "
                              "0 disables storage (default 300)")
@@ -155,13 +155,15 @@ def _solve(args: argparse.Namespace) -> int:
 def _serve(args: argparse.Namespace) -> int:
     from .service.app import ServiceConfig, serve
 
+    if args.shared_cache_dir is not None:
+        print("--shared-cache-dir is ignored: each server process keeps "
+              "its own caches", file=sys.stderr)
     try:
         config = ServiceConfig(
             host=args.host,
             port=args.port,
             workers=args.workers,
             processes=args.processes,
-            shared_cache_dir=args.shared_cache_dir,
             cache_ttl=args.cache_ttl,
             cache_maxsize=args.cache_size,
             state_dir=args.state_dir,

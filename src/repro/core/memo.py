@@ -287,10 +287,10 @@ def configure(*, enabled: bool) -> None:
 def install_cache(cache: MemoCache) -> MemoCache:
     """Swap the process-global memo for ``cache``; returns the previous.
 
-    Anything honouring the :class:`MemoCache` interface qualifies —
-    the scale-out layer installs a tiered L1-over-shared-store subclass
-    in each pre-forked worker.  Callers restore the returned instance
-    on shutdown.
+    Anything honouring the :class:`MemoCache` interface qualifies.
+    Callers restore the returned instance on shutdown.  Nothing in the
+    program calls it; it goes together with
+    :mod:`repro.scaleout.shared_cache`.
     """
     global _GLOBAL_CACHE
     previous = _GLOBAL_CACHE

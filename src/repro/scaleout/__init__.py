@@ -1,37 +1,20 @@
-"""Multi-process scale-out: pre-fork serving over a shared cache tier.
+"""Multi-process scale-out: pre-fork serving and worker fleets.
 
 The paper's argument — aggregate throughput scales only as far as the
 shared resource allows — applies to the serving stack itself.  This
 package takes the single-process service and job worker horizontal:
 
-* :mod:`repro.scaleout.shared_cache` — an sqlite(WAL)-backed cache
-  tier shared by every process on one host, with the existing
-  in-process caches demoted to per-process L1s over it;
 * :mod:`repro.scaleout.prefork` — ``serve --processes N``: N forked
   workers accepting on a shared listening socket (``SO_REUSEPORT``
-  when the platform has it, inherited-fd fallback otherwise);
+  when the platform has it, inherited-fd fallback otherwise), each
+  with its own response cache and solve memo;
 * :mod:`repro.scaleout.fleet` — ``python -m repro.jobs.worker
   --processes N``: a fleet of competing lease claimers over one
   durable :class:`~repro.jobs.store.JobStore`.
 
 See ``docs/SCALEOUT.md`` for the process model and what deliberately
-stays per-process (admission control, circuit breakers, L1 caches).
+stays per-process (admission control, circuit breakers, caches).
 
-:mod:`repro.scaleout.prefork` imports the service application, so it
-is *not* re-exported here — import it directly to keep this package
-importable from inside :mod:`repro.service.app` without a cycle.
+The package re-exports nothing: :mod:`repro.scaleout.prefork` imports
+the service application, so import each submodule directly.
 """
-
-from .shared_cache import (
-    SharedCacheTier,
-    SharedMemoCache,
-    TieredResponseCache,
-    encode_key,
-)
-
-__all__ = [
-    "SharedCacheTier",
-    "SharedMemoCache",
-    "TieredResponseCache",
-    "encode_key",
-]

@@ -81,6 +81,11 @@ def run_fleet(state_dir: Union[str, Path], *, processes: int,
         print(f"FAULT INJECTION ACTIVE: profile "
               f"{injector.profile.name!r} "
               f"(seed {injector.profile.seed})", flush=True)
+    # Import the chunk executors' heavy dependencies (the experiment
+    # engine and registry, numpy) once, here: forked children then share
+    # them instead of each importing them on its first job.
+    from ..experiments import engine  # noqa: F401
+
     pids: List[int] = []
     hold_stop_signals()  # released once each process has its handlers
     for _ in range(processes):

@@ -3,9 +3,8 @@
 Process model
 -------------
 The supervisor binds the listening socket (reserving the port and
-providing the fallback fd), creates the shared directories every child
-needs — the durable job store and the shared cache tier — then forks
-N children.  Each child prefers its **own** ``SO_REUSEPORT`` socket
+providing the fallback fd), creates the durable job store every child
+shares, then forks N children.  Each child prefers its **own** ``SO_REUSEPORT`` socket
 bound to the same address, which lets the kernel load-balance accepts
 across processes; where that is unavailable (platform without the
 option, or the bind races a port reuse restriction) the child falls
@@ -27,11 +26,10 @@ alone (see :mod:`repro.scaleout.procutil`).
 
 What is shared and what is not
 ------------------------------
-Shared per group: the listening port, the durable job store
-(``state_dir``), and the :class:`~repro.scaleout.shared_cache.
-SharedCacheTier` (solve memo + response store).  Per process, by
-design: admission control, circuit breakers, in-flight coalescing and
-the L1 caches — see docs/SCALEOUT.md for why.
+Shared per group: the listening port and the durable job store
+(``state_dir``).  Per process, by design: admission control, circuit
+breakers, in-flight coalescing, the response cache and the solve memo
+— see docs/SCALEOUT.md for why.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ from .procutil import (
     require_single_thread,
     supervise,
 )
-from .shared_cache import SharedCacheTier
 
 __all__ = ["create_listening_socket", "serve_prefork"]
 
@@ -104,17 +101,12 @@ def reuseport_active(sock: socket.socket) -> bool:
 
 def serve_prefork(config: ServiceConfig) -> int:
     """Blocking supervisor for ``serve --processes N`` (N >= 2)."""
-    owned_dirs: List[str] = []
+    owned_dir: Optional[str] = None
     if config.state_dir is None:
         # One job store for the whole group — each child creating its
         # own temporary store would shard the queue N ways.
-        owned_dirs.append(tempfile.mkdtemp(prefix="bandwidth-wall-jobs-"))
-        config = dataclasses.replace(config, state_dir=owned_dirs[-1])
-    if config.shared_cache_dir is None and config.fault_profile is None:
-        owned_dirs.append(
-            tempfile.mkdtemp(prefix="bandwidth-wall-shared-"))
-        config = dataclasses.replace(config,
-                                     shared_cache_dir=owned_dirs[-1])
+        owned_dir = tempfile.mkdtemp(prefix="bandwidth-wall-jobs-")
+        config = dataclasses.replace(config, state_dir=owned_dir)
     try:
         try:
             listener = create_listening_socket(config.host, config.port)
@@ -130,13 +122,11 @@ def serve_prefork(config: ServiceConfig) -> int:
         # (tests exercise it on platforms where reuseport would win).
         prefer_reuseport = reuseport_active(listener) \
             and not os.environ.get("REPRO_SCALEOUT_NO_REUSEPORT")
-        # Create the job store's and the tier's files, schemas and WAL
-        # mode once, before any child exists: children switching a
-        # fresh file to WAL at once can fail with "database is locked".
-        # The handles are closed here, so none crosses the fork.
+        # Create the job store's file, schema and WAL mode once, before
+        # any child exists: children switching a fresh file to WAL at
+        # once can fail with "database is locked".  The handle is
+        # closed here, so none crosses the fork.
         JobStore(config.state_dir).close()
-        if config.shared_cache_dir is not None:
-            SharedCacheTier(config.shared_cache_dir).close()
         read_fd, write_fd = os.pipe()
         pids: List[int] = []
         # A stop signal from here on waits for the handlers: each
@@ -165,8 +155,7 @@ def serve_prefork(config: ServiceConfig) -> int:
               f"({config.processes} processes x {config.workers} "
               f"workers, "
               f"{'SO_REUSEPORT' if prefer_reuseport else 'inherited fd'},"
-              f" shared cache {config.shared_cache_dir}, "
-              f"state dir {config.state_dir})", flush=True)
+              f" state dir {config.state_dir})", flush=True)
         ready = _await_ready(read_fd, config.processes)
         os.close(read_fd)
         # Children accept on their own sockets (or inherited copies of
@@ -192,8 +181,8 @@ def serve_prefork(config: ServiceConfig) -> int:
               flush=True)
         return 0 if clean else 1
     finally:
-        for path in owned_dirs:
-            shutil.rmtree(path, ignore_errors=True)
+        if owned_dir is not None:
+            shutil.rmtree(owned_dir, ignore_errors=True)
 
 
 def _await_ready(read_fd: int, expected: int) -> int:

@@ -135,18 +135,14 @@ class ServiceConfig:
 
     ``processes > 1`` selects pre-fork scale-out (see
     :mod:`repro.scaleout.prefork`): N forked copies of this service
-    share one listening port, one job store and one shared cache tier.
-    ``shared_cache_dir`` holds that tier; set it explicitly to share a
-    warm cache across restarts, leave it ``None`` for a per-group
-    temporary directory (single-process instances leave the tier off
-    entirely unless a directory is given).
+    share one listening port and one job store.  Each copy keeps its
+    own response cache and solve memo.
     """
 
     host: str = "127.0.0.1"
     port: int = 8100
     workers: int = 8
     processes: int = 1
-    shared_cache_dir: Optional[str] = None
     cache_ttl: float = 300.0
     cache_maxsize: int = 1024
     drain_deadline: float = 10.0
@@ -222,36 +218,11 @@ class BandwidthWallService:
         self.started_monotonic = time.monotonic()
         self.draining = threading.Event()
         self.fault_injector = self._build_injector(config)
-        # Shared cache tier (pre-fork scale-out).  Fault profiles take
-        # precedence: an injected FaultyResponseCache exercises the
-        # degradation paths, so the tier stays out of the way.
-        self.shared_tier = None
-        self._shared_memo = None
-        self._previous_memo = None
         if self.fault_injector is not None:
             self.response_cache = FaultyResponseCache(
                 self.fault_injector,
                 maxsize=config.cache_maxsize, ttl=config.cache_ttl,
             )
-        elif config.shared_cache_dir is not None:
-            # Imported lazily: repro.scaleout.shared_cache pulls in
-            # repro.service, which is mid-import right now.
-            from ..scaleout.shared_cache import (
-                SharedCacheTier,
-                SharedMemoCache,
-                TieredResponseCache,
-            )
-
-            self.shared_tier = SharedCacheTier(config.shared_cache_dir)
-            self.response_cache = TieredResponseCache(
-                self.shared_tier,
-                maxsize=config.cache_maxsize, ttl=config.cache_ttl,
-            )
-            # Demote the process-global solve memo to an L1 over the
-            # tier; the previous memo is restored on shutdown so other
-            # services in this process (tests) are unaffected.
-            self._shared_memo = SharedMemoCache(self.shared_tier)
-            self._previous_memo = memo.install_cache(self._shared_memo)
         else:
             self.response_cache = ResponseCache(
                 maxsize=config.cache_maxsize, ttl=config.cache_ttl
@@ -561,50 +532,6 @@ class BandwidthWallService:
                        "cancelled"):
             trace_jobs.set_callback(trace_status_gauge(status),
                                     status=status)
-        # Scale-out: the shared cache tier aggregates event counters
-        # across every process in the pre-fork group, so any child's
-        # /metrics page shows group-wide cache behaviour.
-        if self.shared_tier is not None:
-            tier = self.shared_tier
-
-            def tier_counter(name: str) -> Callable[[], float]:
-                return store_gauge(
-                    lambda: tier.counters_total().get(name, 0))
-
-            shared_total = registry.gauge(
-                "scaleout_shared_cache_total",
-                "Shared-tier cache events summed over every process, "
-                "by namespace and event.",
-                ("namespace", "event"),
-            )
-            for namespace, events in (
-                ("response", ("hit", "miss", "eviction")),
-                ("memo", ("hit", "miss", "store", "eviction")),
-            ):
-                for event in events:
-                    shared_total.set_callback(
-                        tier_counter(f"{namespace}.{event}"),
-                        namespace=namespace, event=event,
-                    )
-            shared_entries = registry.gauge(
-                "scaleout_shared_cache_entries",
-                "Entries currently stored in the shared tier, "
-                "by namespace.",
-                ("namespace",),
-            )
-            for namespace in ("response", "memo"):
-                shared_entries.set_callback(
-                    store_gauge(
-                        lambda ns=namespace: tier.entry_count(ns)),
-                    namespace=namespace,
-                )
-            registry.gauge(
-                "scaleout_processes_seen",
-                "Distinct processes that have recorded shared-cache "
-                "events.",
-                callback=store_gauge(tier.processes_seen),
-            )
-
     # -- dispatch ------------------------------------------------------
 
     def dispatch(self, method: str, target: str, body: bytes,
@@ -744,18 +671,9 @@ class BandwidthWallService:
             "jobs": jobs,
             "resilience": resilience,
         }
-        if self.shared_tier is not None:
-            try:
-                scaleout: Dict[str, Any] = {
-                    "pid": os.getpid(),
-                    "processes": self.config.processes,
-                    "shared_cache_dir": str(self.shared_tier.cache_dir),
-                    "processes_seen": self.shared_tier.processes_seen(),
-                    "counters": self.shared_tier.counters_total(),
-                }
-            except Exception as error:  # noqa: BLE001 - liveness first
-                scaleout = {"error": f"{type(error).__name__}: {error}"}
-            payload["scaleout"] = scaleout
+        if self.config.processes > 1:
+            payload["scaleout"] = {"pid": os.getpid(),
+                                   "processes": self.config.processes}
         return self._json_response(payload, status=503 if draining else 200)
 
     def _handle_metrics(self, match, query, body) -> Response:
@@ -1071,17 +989,6 @@ class BandwidthWallService:
         drain — never out from under a live worker.
         """
         stopped = self.job_manager.stop(deadline)
-        if self._shared_memo is not None:
-            # Persist the buffered tail of memo writes/counters, then
-            # give the process its original memo back (tests run many
-            # services in one process; the swap must not outlive us).
-            try:
-                self._shared_memo.flush()
-            except (sqlite3.Error, OSError):
-                pass
-            memo.install_cache(self._previous_memo)
-            self._shared_memo = None
-            self._previous_memo = None
         if stopped and self._owns_state_dir:
             shutil.rmtree(self.state_dir, ignore_errors=True)
         return stopped
@@ -1275,7 +1182,7 @@ def serve(config: ServiceConfig = ServiceConfig()) -> int:
     returns 0 on a clean (fully drained) shutdown, 1 otherwise.
 
     ``processes > 1`` hands off to the pre-fork supervisor — N forked
-    copies of this service behind one port and one shared cache tier.
+    copies of this service behind one port and one job store.
     """
     if config.processes > 1:
         from ..scaleout.prefork import serve_prefork

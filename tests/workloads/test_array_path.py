@@ -588,11 +588,14 @@ class TestPrivateReplay:
     @pytest.mark.parametrize("geometry", [(2, 1024, 64, 0),
                                           (2, 0, 64, 2)])
     def test_empty_geometries_are_refused(self, geometry):
+        # No ways, no lines: refused with the system's own message.
         trace = TraceColumns(np.zeros(1, np.uint64), np.zeros(1, bool),
                              np.zeros(1, np.int32))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as expected:
+            PrivateCacheSystem(*geometry)
+        with pytest.raises(ValueError) as got:
             replay_private(trace, *geometry)
-
+        assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("caches,directory,message", [
         # Two cores, two sets: caches[core * 2 + set] maps line -> dirty.
