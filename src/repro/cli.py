@@ -44,7 +44,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from .core.scenario import ScenarioRequest, render_scenario, solve_scenario
 from .experiments import experiment_ids, print_experiment
@@ -254,7 +254,8 @@ def _job_line(payload: dict) -> str:
 
 
 def _watch_job(client, job_id: str, interval: float,
-               timeout: float) -> int:
+               timeout: float) -> Tuple[int, dict]:
+    """Poll a job until it ends; returns (exit code, last payload)."""
     import time as _time
 
     deadline = _time.monotonic() + timeout
@@ -268,12 +269,41 @@ def _watch_job(client, job_id: str, interval: float,
         if payload["status"] in ("succeeded", "failed", "cancelled"):
             if payload["status"] == "failed" and payload.get("error"):
                 print(payload["error"], file=sys.stderr)
-            return 0 if payload["status"] == "succeeded" else 3
+            return (0 if payload["status"] == "succeeded" else 3), payload
         if _time.monotonic() >= deadline:
             print(f"gave up after {timeout:g}s; job {job_id} is still "
                   f"{payload['status']}", file=sys.stderr)
-            return 3
+            return 3, payload
         _time.sleep(interval)
+
+
+def _submit_job(args: argparse.Namespace, body: dict,
+                show_result: Optional[Callable[[dict], None]] = None
+                ) -> int:
+    """POST a kind-tagged job body to ``/v1/jobs``; with ``--watch``,
+    poll it to the end and show the result the last poll carried."""
+    from .service.client import ServiceClient, ServiceError
+
+    client = ServiceClient(args.host, args.port, timeout=args.timeout)
+    try:
+        payload = client.submit_job(
+            {name: value for name, value in body.items()
+             if value is not None})
+        print(_job_line(payload))
+        if not args.watch:
+            return 0
+        code, final = _watch_job(client, payload["id"], args.interval,
+                                 timeout=600.0)
+        if code == 0 and show_result is not None:
+            show_result(final["result"])
+        return code
+    except ServiceError as error:
+        print(error, file=sys.stderr)
+        return 2
+    except OSError as error:
+        print(f"cannot reach service at {args.host}:{args.port}: {error}",
+              file=sys.stderr)
+        return 2
 
 
 def _jobs_main(argv: List[str]) -> int:
@@ -284,19 +314,14 @@ def _jobs_main(argv: List[str]) -> int:
     if args.command is None:
         parser.print_help()
         return 2
+    if args.command == "submit":
+        return _submit_job(args, {
+            "kind": "experiments", "ids": args.ids or None,
+            "chunk_size": args.chunk_size,
+            "max_attempts": args.max_attempts,
+        })
     client = ServiceClient(args.host, args.port, timeout=args.timeout)
     try:
-        if args.command == "submit":
-            payload = client.submit_experiments_job(
-                args.ids or None,
-                chunk_size=args.chunk_size,
-                max_attempts=args.max_attempts,
-            )
-            print(_job_line(payload))
-            if args.watch:
-                return _watch_job(client, payload["id"], args.interval,
-                                  timeout=600.0)
-            return 0
         if args.command == "status":
             if args.id is None:
                 listing = client.jobs(status=args.status_filter)
@@ -308,7 +333,7 @@ def _jobs_main(argv: List[str]) -> int:
             return 0
         if args.command == "watch":
             return _watch_job(client, args.id, args.interval,
-                              args.wait_timeout)
+                              args.wait_timeout)[0]
         payload = client.cancel_job(args.id)
         print(_job_line(payload))
         return 0
@@ -504,37 +529,16 @@ def _traces_main(argv: List[str]) -> int:
         return 2
 
     if args.submit:
-        from .service.client import ServiceClient, ServiceError
-
-        client = ServiceClient(args.host, args.port,
-                               timeout=args.timeout)
-        try:
-            payload = client.submit_trace(
-                source=args.source, units=units,
-                accesses=args.accesses,
-                working_set_lines=args.working_set_lines,
-                line_bytes=args.line_bytes, seed=args.seed,
-                line_counts=line_counts,
-                fit_min_lines=args.fit_min_lines,
-                fit_max_lines=args.fit_max_lines,
-                associativity=args.associativity,
-            )
-            print(_job_line(payload))
-            if args.watch:
-                code = _watch_job(client, payload["id"], args.interval,
-                                  timeout=600.0)
-                if code == 0:
-                    result = client.trace_result(payload["id"])
-                    _print_trace_artifact(result["result"])
-                return code
-            return 0
-        except ServiceError as error:
-            print(error, file=sys.stderr)
-            return 2
-        except OSError as error:
-            print(f"cannot reach service at {args.host}:{args.port}: "
-                  f"{error}", file=sys.stderr)
-            return 2
+        return _submit_job(args, {
+            "kind": "trace", "source": args.source, "units": units,
+            "accesses": args.accesses,
+            "working_set_lines": args.working_set_lines,
+            "line_bytes": args.line_bytes, "seed": args.seed,
+            "line_counts": line_counts,
+            "fit_min_lines": args.fit_min_lines,
+            "fit_max_lines": args.fit_max_lines,
+            "associativity": args.associativity,
+        }, _print_trace_artifact)
 
     from .traces import TraceParams, run_trace
     from .traces.pipeline import DEFAULT_TRACE_ACCESSES
@@ -577,55 +581,25 @@ def _optimize_main(argv: List[str]) -> int:
         print(error, file=sys.stderr)
         return 2
 
+    search = {"ceas": args.ceas, "budget": args.budget,
+              "alpha": args.alpha, "strategy": args.strategy,
+              "seed": args.seed, "generations": args.generations,
+              "population": args.population, "space": overrides or None}
     if args.submit:
-        from .service.client import ServiceClient, ServiceError
+        return _submit_job(args, {
+            "kind": "optimize", "chunk_size": args.chunk_size, **search,
+        }, lambda artifact: _print_frontier(artifact, args.top))
 
-        client = ServiceClient(args.host, args.port,
-                               timeout=args.timeout)
-        try:
-            payload = client.submit_optimize(
-                ceas=args.ceas, budget=args.budget, alpha=args.alpha,
-                strategy=args.strategy, seed=args.seed,
-                generations=args.generations,
-                population=args.population,
-                space=overrides or None,
-                chunk_size=args.chunk_size,
-            )
-            print(_job_line(payload))
-            if args.watch:
-                code = _watch_job(client, payload["id"], args.interval,
-                                  timeout=600.0)
-                if code == 0:
-                    result = client.optimize_result(payload["id"])
-                    _print_frontier(result["result"], args.top)
-                return code
-            return 0
-        except ServiceError as error:
-            print(error, file=sys.stderr)
-            return 2
-        except OSError as error:
-            print(f"cannot reach service at {args.host}:{args.port}: "
-                  f"{error}", file=sys.stderr)
-            return 2
+    from dataclasses import replace
 
-    from .optimize import OptimizeParams, SearchSpace, resolve_strategy, \
-        run_search
-    from .optimize.search import DEFAULT_GENERATIONS, \
-        DEFAULT_POPULATION, DEFAULT_OPTIMIZE_CHUNK
+    from .optimize import OptimizeParams, run_search
 
     try:
-        space = SearchSpace.build(overrides or None)
-        params = OptimizeParams(
-            space=space,
-            ceas=args.ceas,
-            budget=args.budget,
-            alpha=args.alpha,
-            strategy=resolve_strategy(args.strategy, space),
-            seed=args.seed,
-            generations=args.generations or DEFAULT_GENERATIONS,
-            population=args.population or DEFAULT_POPULATION,
-            chunk_size=args.chunk_size or DEFAULT_OPTIMIZE_CHUNK,
-        )
+        params = OptimizeParams.create(**{
+            name: value for name, value in search.items()
+            if value is not None})
+        if args.chunk_size:
+            params = replace(params, chunk_size=args.chunk_size)
         artifact = run_search(params)
     except ValueError as error:
         print(error, file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Durable background jobs: checkpointed async experiment/sweep runs.
+"""Durable background jobs: checkpointed async runs of every job kind.
 
 The execution tier between "one solve per request" (the service's
 synchronous handlers) and "run the paper" (the CLI): long work —
@@ -12,7 +12,9 @@ construction (see :mod:`repro.jobs.executor`).
 Layers
 ------
 :mod:`repro.jobs.spec`
-    :class:`JobSpec` — the serialisable job description.
+    :class:`JobSpec` — the serialisable job description, and
+    :data:`KINDS` — the job-kind table (experiments, sweep, optimize,
+    trace).
 :mod:`repro.jobs.store`
     :class:`JobStore` — durable state, leases, checkpoints.
 :mod:`repro.jobs.executor`
@@ -29,11 +31,10 @@ from .executor import (
     chunk_count,
     encode_artifact,
     execute_chunk,
-    plan_chunks,
     serial_artifact,
 )
 from .manager import JobManager
-from .spec import DEFAULT_MAX_ATTEMPTS, JobSpec
+from .spec import DEFAULT_MAX_ATTEMPTS, KINDS, JobSpec
 from .store import (
     ACTIVE_STATUSES,
     CANCELLED,
@@ -49,8 +50,8 @@ from .store import (
 from .worker import Worker
 
 __all__ = [
-    "JobSpec", "JobStore", "JobRecord", "JobManager", "Worker",
-    "plan_chunks", "chunk_count", "execute_chunk", "assemble_artifact",
+    "JobSpec", "KINDS", "JobStore", "JobRecord", "JobManager", "Worker",
+    "chunk_count", "execute_chunk", "assemble_artifact",
     "encode_artifact", "serial_artifact",
     "QUEUED", "RUNNING", "SUCCEEDED", "FAILED", "CANCELLED",
     "ACTIVE_STATUSES", "TERMINAL_STATUSES", "STATUSES",

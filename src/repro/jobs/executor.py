@@ -1,16 +1,15 @@
 """Chunk planning, execution and artifact assembly for durable jobs.
 
 Everything here is a pure, deterministic function of a
-:class:`~repro.jobs.spec.JobSpec`:
+:class:`~repro.jobs.spec.JobSpec`, delegated to its kind's params (see
+:data:`~repro.jobs.spec.KINDS`):
 
-* :func:`plan_chunks` — the ordered chunk list (experiment-id groups or
-  grid-point slices).  Every worker that leases a job re-derives the
-  identical plan from the stored spec, so a resumed job continues the
-  very sequence the crashed worker was executing.
+* :func:`chunk_count` — how many chunks the job runs.  Every worker
+  that leases a job re-derives the identical plan from the stored spec,
+  so a resumed job continues the very sequence the crashed worker was
+  executing.
 * :func:`execute_chunk` — one chunk's JSON-ready payload, computed
-  through the same engine paths the CLI and service use
-  (:class:`~repro.experiments.engine.SweepEngine` for experiments,
-  :func:`~repro.experiments.engine.sweep_grid` for grids).
+  through the same engine paths the CLI and service use.
 * :func:`assemble_artifact` — the final result from the ordered chunk
   payloads.  Experiment entries use the exact golden encoding
   (``{"experiment_id", "schema", "result"}`` with
@@ -27,13 +26,11 @@ render, exactly as it does for ``/v1/experiments``.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Sequence
 
-from .spec import EXPERIMENTS_KIND, OPTIMIZE_KIND, TRACE_KIND, JobSpec
+from .spec import JobSpec
 
 __all__ = [
-    "GOLDEN_SCHEMA_VERSION",
-    "plan_chunks",
     "chunk_count",
     "execute_chunk",
     "assemble_artifact",
@@ -41,132 +38,16 @@ __all__ = [
     "serial_artifact",
 ]
 
-#: Mirrors ``tests/goldens/regen.SCHEMA_VERSION`` — the golden encoding
-#: version stamped into every experiment entry a job produces.
-GOLDEN_SCHEMA_VERSION = 1
-
-
-# ----------------------------------------------------------------------
-# Planning
-# ----------------------------------------------------------------------
-
-
-def plan_chunks(spec: JobSpec) -> List[Tuple[int, int]]:
-    """Ordered ``(start, stop)`` slices over the spec's work items.
-
-    Experiments jobs slice the id list; sweep jobs slice the flattened
-    ``(ceas x budgets)`` grid, which is enumerated in the same order
-    ``POST /v1/sweep`` uses.  Optimize jobs delegate to
-    :mod:`repro.optimize.search`, whose chunks are configuration
-    slices (exhaustive) or whole generations (evolutionary); the
-    ``(start, stop)`` pairs here are nominal chunk indices.
-    """
-    if spec.kind == OPTIMIZE_KIND:
-        from ..optimize.search import OptimizeParams
-
-        count = OptimizeParams.from_spec(spec).chunk_count()
-        return [(index, index + 1) for index in range(count)]
-    if spec.kind == TRACE_KIND:
-        from ..traces import TraceParams, trace_chunk_count
-
-        count = trace_chunk_count(TraceParams.from_spec(spec))
-        return [(index, index + 1) for index in range(count)]
-    total = (len(spec.ids) if spec.kind == EXPERIMENTS_KIND
-             else len(spec.ceas) * len(spec.budgets))
-    size = spec.effective_chunk_size
-    return [(start, min(start + size, total))
-            for start in range(0, total, size)]
-
 
 def chunk_count(spec: JobSpec) -> int:
     """How many checkpoints a complete run of ``spec`` writes."""
-    return len(plan_chunks(spec))
-
-
-# ----------------------------------------------------------------------
-# Execution
-# ----------------------------------------------------------------------
+    return spec.params.chunk_count(spec.effective_chunk_size)
 
 
 def execute_chunk(spec: JobSpec, index: int) -> Dict[str, Any]:
     """Compute one chunk's JSON-ready payload (raises IndexError when
     ``index`` is outside the plan)."""
-    start, stop = plan_chunks(spec)[index]
-    if spec.kind == EXPERIMENTS_KIND:
-        return _execute_experiments(spec.ids[start:stop])
-    if spec.kind == OPTIMIZE_KIND:
-        from ..optimize.search import OptimizeParams, \
-            execute_optimize_chunk
-
-        return execute_optimize_chunk(OptimizeParams.from_spec(spec),
-                                      index)
-    if spec.kind == TRACE_KIND:
-        from ..traces import TraceParams, execute_trace_chunk
-
-        return execute_trace_chunk(TraceParams.from_spec(spec), index)
-    return _execute_sweep(spec, start, stop)
-
-
-def _execute_experiments(ids: Sequence[str]) -> Dict[str, Any]:
-    """Run a group of experiment ids through the serial engine path."""
-    from ..analysis.export import to_jsonable
-    from ..experiments.engine import SweepEngine
-
-    sweep = SweepEngine(max_workers=1).run(ids)
-    return {
-        "experiments": [
-            {
-                "experiment_id": run.experiment_id,
-                "schema": GOLDEN_SCHEMA_VERSION,
-                "result": to_jsonable(run.result),
-            }
-            for run in sweep.runs
-        ]
-    }
-
-
-def _sweep_model_and_effect(spec: JobSpec):
-    from ..core.presets import paper_baseline_design
-    from ..core.scaling import BandwidthWallModel
-    from ..core.scenario import ScenarioRequest
-
-    effect, labels = ScenarioRequest(
-        techniques=spec.techniques
-    ).combined_effect()
-    model = BandwidthWallModel(paper_baseline_design(), alpha=spec.alpha)
-    return model, effect, labels
-
-
-def _execute_sweep(spec: JobSpec, start: int, stop: int) -> Dict[str, Any]:
-    """Solve one slice of the ``(ceas x budgets)`` grid, in grid order."""
-    from ..experiments.engine import GridPoint, sweep_grid
-
-    model, effect, _ = _sweep_model_and_effect(spec)
-    grid = [
-        GridPoint(total_ceas=ceas, traffic_budget=budget, effect=effect)
-        for ceas in spec.ceas
-        for budget in spec.budgets
-    ]
-    points = grid[start:stop]
-    solutions = sweep_grid(model, points)
-    rows = [
-        {
-            "ceas": point.total_ceas,
-            "budget": point.traffic_budget,
-            "cores": solution.cores,
-            "continuous_cores": solution.continuous_cores,
-            "core_area_share": solution.core_area_share,
-            "effective_cache_per_core": solution.effective_cache_per_core,
-            "area_limited": solution.area_limited,
-        }
-        for point, solution in zip(points, solutions)
-    ]
-    return {"points": rows}
-
-
-# ----------------------------------------------------------------------
-# Assembly
-# ----------------------------------------------------------------------
+    return spec.params.execute_chunk(index, spec.effective_chunk_size)
 
 
 def assemble_artifact(spec: JobSpec,
@@ -177,39 +58,7 @@ def assemble_artifact(spec: JobSpec,
             f"expected {chunk_count(spec)} chunk payloads, "
             f"got {len(payloads)}"
         )
-    if spec.kind == EXPERIMENTS_KIND:
-        entries = [entry for payload in payloads
-                   for entry in payload["experiments"]]
-        return {
-            "kind": EXPERIMENTS_KIND,
-            "count": len(entries),
-            "experiments": entries,
-        }
-    if spec.kind == OPTIMIZE_KIND:
-        from ..optimize.search import OptimizeParams, \
-            assemble_optimize_artifact
-
-        return assemble_optimize_artifact(OptimizeParams.from_spec(spec),
-                                          list(payloads))
-    if spec.kind == TRACE_KIND:
-        from ..traces import TraceParams, assemble_trace_artifact
-
-        return assemble_trace_artifact(TraceParams.from_spec(spec),
-                                       list(payloads))
-    rows = [row for payload in payloads for row in payload["points"]]
-    _, _, labels = _sweep_model_and_effect(spec)
-    return {
-        "kind": spec.kind,
-        "request": {
-            "ceas": list(spec.ceas),
-            "budgets": list(spec.budgets),
-            "alpha": spec.alpha,
-            "techniques": list(spec.techniques),
-        },
-        "techniques": list(labels),
-        "count": len(rows),
-        "points": rows,
-    }
+    return spec.params.assemble(list(payloads))
 
 
 def encode_artifact(artifact: Dict[str, Any]) -> str:

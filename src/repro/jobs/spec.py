@@ -1,11 +1,23 @@
 """Job specifications: what a durable job runs, in serialisable form.
 
-A :class:`JobSpec` is the immutable description of one background job —
-either an **experiments** job (a list of registry ids executed through
-the serial :class:`~repro.experiments.engine.SweepEngine` path, one or
-more ids per chunk) or a **sweep** job (a ``(ceas x budgets)`` grid
-solved through :func:`~repro.experiments.engine.sweep_grid`, a slice of
-grid points per chunk).
+A :class:`JobSpec` is a job kind's name, that kind's frozen params and
+a chunk size.  :data:`KINDS` maps each kind name to its params class:
+
+* ``experiments`` — :class:`ExperimentsParams`, registry ids executed
+  through the serial :class:`~repro.experiments.engine.SweepEngine`
+  path, one or more ids per chunk;
+* ``sweep`` — :class:`SweepParams`, a ``(ceas x budgets)`` grid solved
+  through :func:`~repro.experiments.engine.sweep_grid`, a slice of grid
+  points per chunk (``POST /v1/sweep`` solves the same rows at once);
+* ``optimize`` — :class:`~repro.optimize.search.OptimizeParams`;
+* ``trace`` — :class:`~repro.traces.pipeline.TraceParams`.
+
+Every params class provides the same methods: ``to_dict``/``from_dict``
+(the kind's fields of the stored spec), ``chunk_count(chunk_size)``,
+``execute_chunk(index, chunk_size)``, ``assemble(payloads)`` and
+``cost()`` (the work units a job budgets), plus a ``default_chunk``.
+The executor, the service and its metrics look a kind up in the table
+instead of branching on it.
 
 Specs round-trip losslessly through ``to_dict``/``from_dict`` so they
 can live in the job store and be re-planned identically by whichever
@@ -17,27 +29,21 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
+
+from ..optimize.search import OptimizeParams
+from ..traces.pipeline import TraceParams
 
 __all__ = [
     "JobSpec",
-    "EXPERIMENTS_KIND",
-    "SWEEP_KIND",
-    "OPTIMIZE_KIND",
-    "TRACE_KIND",
+    "ExperimentsParams",
+    "SweepParams",
     "KINDS",
     "DEFAULT_EXPERIMENT_CHUNK",
     "DEFAULT_SWEEP_CHUNK",
-    "DEFAULT_OPTIMIZE_CHUNK",
-    "DEFAULT_TRACE_CHUNK",
     "DEFAULT_MAX_ATTEMPTS",
+    "GOLDEN_SCHEMA_VERSION",
 ]
-
-EXPERIMENTS_KIND = "experiments"
-SWEEP_KIND = "sweep"
-OPTIMIZE_KIND = "optimize"
-TRACE_KIND = "trace"
-KINDS = (EXPERIMENTS_KIND, SWEEP_KIND, OPTIMIZE_KIND, TRACE_KIND)
 
 #: One experiment per chunk: a checkpoint lands after every artifact,
 #: so a crash mid-registry loses at most one experiment's work.
@@ -47,69 +53,212 @@ DEFAULT_EXPERIMENT_CHUNK = 1
 #: still sub-millisecond of work but keeps checkpoint traffic bounded.
 DEFAULT_SWEEP_CHUNK = 64
 
-#: Valid configurations per exhaustive-optimize chunk.  Evolutionary
-#: jobs ignore this — there, one generation is one chunk.
-DEFAULT_OPTIMIZE_CHUNK = 2048
-
-#: One trace-simulation unit per chunk: profiling is sequential within
-#: a unit, so the unit is the natural checkpoint grain.
-DEFAULT_TRACE_CHUNK = 1
-
 #: Execution attempts before a job is marked failed for good.
 DEFAULT_MAX_ATTEMPTS = 3
+
+#: Mirrors ``tests/goldens/regen.SCHEMA_VERSION`` — the golden encoding
+#: version stamped into every experiment entry a job produces.
+GOLDEN_SCHEMA_VERSION = 1
+
+
+def _slice_bounds(index: int, chunk_size: int,
+                  total: int) -> Tuple[int, int]:
+    """``(start, stop)`` of chunk ``index`` over ``total`` work items."""
+    start = index * chunk_size
+    if index < 0 or start >= total:
+        raise IndexError(
+            f"chunk index {index} out of range for "
+            f"{-(-total // chunk_size)} chunks"
+        )
+    return start, min(start + chunk_size, total)
+
+
+@dataclass(frozen=True)
+class ExperimentsParams:
+    """Registry ids, in run order (already resolved to canonical ids)."""
+
+    ids: Tuple[str, ...]
+
+    default_chunk: ClassVar[int] = DEFAULT_EXPERIMENT_CHUNK
+
+    @classmethod
+    def create(cls, ids: Optional[Sequence[str]] = None
+               ) -> "ExperimentsParams":
+        """Normalise ids eagerly (``"Figure 2"`` → ``"fig2"``) so the
+        stored spec — and therefore the chunk plan — is canonical;
+        ``None`` or no ids means the whole registry."""
+        from ..experiments.runner import experiment_ids, \
+            resolve_experiment_id
+
+        return cls(ids=tuple(resolve_experiment_id(i) for i in ids)
+                   if ids else tuple(experiment_ids()))
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"ids": list(self.ids)}
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "ExperimentsParams":
+        return cls(ids=tuple(payload.get("ids", ())))
+
+    def chunk_count(self, chunk_size: int) -> int:
+        return -(-len(self.ids) // chunk_size)
+
+    def execute_chunk(self, index: int, chunk_size: int) -> Dict[str, Any]:
+        """Run a group of ids through the serial engine path."""
+        from ..analysis.export import to_jsonable
+        from ..experiments.engine import SweepEngine
+
+        start, stop = _slice_bounds(index, chunk_size, len(self.ids))
+        sweep = SweepEngine(max_workers=1).run(self.ids[start:stop])
+        return {
+            "experiments": [
+                {
+                    "experiment_id": run.experiment_id,
+                    "schema": GOLDEN_SCHEMA_VERSION,
+                    "result": to_jsonable(run.result),
+                }
+                for run in sweep.runs
+            ]
+        }
+
+    def assemble(self, payloads: Sequence[Dict[str, Any]]
+                 ) -> Dict[str, Any]:
+        entries = [entry for payload in payloads
+                   for entry in payload["experiments"]]
+        return {"kind": "experiments", "count": len(entries),
+                "experiments": entries}
+
+    def cost(self) -> int:
+        return len(self.ids)
+
+
+@dataclass(frozen=True)
+class SweepParams:
+    """A ``(ceas x budget)`` grid, solved in grid order: the body of
+    ``POST /v1/sweep`` and the params of a sweep job."""
+
+    ceas: Tuple[float, ...]
+    budgets: Tuple[float, ...] = (1.0,)
+    alpha: float = 0.5
+    techniques: Tuple[str, ...] = ()
+
+    default_chunk: ClassVar[int] = DEFAULT_SWEEP_CHUNK
+
+    def __post_init__(self) -> None:
+        if not self.ceas:
+            raise ValueError("sweep jobs need at least one ceas value")
+
+    @property
+    def num_points(self) -> int:
+        return len(self.ceas) * len(self.budgets)
+
+    def _model_and_effect(self):
+        from ..core.presets import paper_baseline_design
+        from ..core.scaling import BandwidthWallModel
+        from ..core.scenario import ScenarioRequest
+
+        effect, labels = ScenarioRequest(
+            techniques=self.techniques
+        ).combined_effect()
+        model = BandwidthWallModel(paper_baseline_design(), alpha=self.alpha)
+        return model, effect, labels
+
+    def rows(self, start: int = 0,
+             stop: Optional[int] = None) -> List[Dict[str, Any]]:
+        """Solve the grid points ``[start:stop]``, in grid order."""
+        from ..experiments.engine import GridPoint, sweep_grid
+
+        model, effect, _ = self._model_and_effect()
+        points = [
+            GridPoint(total_ceas=ceas, traffic_budget=budget, effect=effect)
+            for ceas in self.ceas
+            for budget in self.budgets
+        ][start:stop]
+        solutions = sweep_grid(model, points)
+        return [
+            {
+                "ceas": point.total_ceas,
+                "budget": point.traffic_budget,
+                "cores": solution.cores,
+                "continuous_cores": solution.continuous_cores,
+                "core_area_share": solution.core_area_share,
+                "effective_cache_per_core":
+                    solution.effective_cache_per_core,
+                "area_limited": solution.area_limited,
+            }
+            for point, solution in zip(points, solutions)
+        ]
+
+    def summary(self, rows: List[Dict[str, Any]]) -> Dict[str, Any]:
+        """The ``POST /v1/sweep`` body for the grid's solved rows."""
+        _, _, labels = self._model_and_effect()
+        return {
+            "request": self.to_dict(),
+            "techniques": list(labels),
+            "count": len(rows),
+            "points": rows,
+        }
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"ceas": list(self.ceas), "budgets": list(self.budgets),
+                "alpha": self.alpha, "techniques": list(self.techniques)}
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "SweepParams":
+        return cls(
+            ceas=tuple(float(c) for c in payload.get("ceas", ())),
+            budgets=tuple(float(b) for b in payload.get("budgets", (1.0,))),
+            alpha=float(payload.get("alpha", 0.5)),
+            techniques=tuple(payload.get("techniques", ())),
+        )
+
+    def chunk_count(self, chunk_size: int) -> int:
+        return -(-self.num_points // chunk_size)
+
+    def execute_chunk(self, index: int, chunk_size: int) -> Dict[str, Any]:
+        return {"points": self.rows(*_slice_bounds(index, chunk_size,
+                                                   self.num_points))}
+
+    def assemble(self, payloads: Sequence[Dict[str, Any]]
+                 ) -> Dict[str, Any]:
+        rows = [row for payload in payloads for row in payload["points"]]
+        return {"kind": "sweep", **self.summary(rows)}
+
+    def cost(self) -> int:
+        return self.num_points
+
+
+#: Every job kind: its name → its params class.
+KINDS: Dict[str, Any] = {
+    "experiments": ExperimentsParams,
+    "sweep": SweepParams,
+    "optimize": OptimizeParams,
+    "trace": TraceParams,
+}
 
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One durable job's immutable description.
-
-    ``ids`` drives experiments jobs; ``ceas``/``budgets``/``alpha``/
-    ``techniques`` drive sweep jobs.  ``chunk_size`` of 0 means the
-    kind's default.
-    """
+    """One durable job's immutable description: a kind, that kind's
+    params and a chunk size (0 means the kind's default)."""
 
     kind: str
-    ids: Tuple[str, ...] = ()
-    ceas: Tuple[float, ...] = ()
-    budgets: Tuple[float, ...] = (1.0,)
-    alpha: float = 0.5
-    techniques: Tuple[str, ...] = ()
+    params: Any
     chunk_size: int = 0
-    # Optimize-only fields (see repro.optimize).  ``space`` is the
-    # search space in hashable item form: ((name, (values...)), ...).
-    strategy: str = ""
-    seed: int = 0
-    generations: int = 0
-    population: int = 0
-    space: Tuple[Tuple[str, Tuple[float, ...]], ...] = ()
-    # Trace-only field (see repro.traces): the resolved
-    # ``TraceParams.to_items()`` in hashable key/value form.
-    trace: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(
                 f"unknown job kind {self.kind!r}; choose from {list(KINDS)}"
             )
+        if not isinstance(self.params, KINDS[self.kind]):
+            raise ValueError(
+                f"{self.kind} jobs need {KINDS[self.kind].__name__}, "
+                f"got {type(self.params).__name__}"
+            )
         if self.chunk_size < 0:
             raise ValueError(
                 f"chunk_size must be non-negative, got {self.chunk_size}"
-            )
-        if self.kind == SWEEP_KIND and not self.ceas:
-            raise ValueError("sweep jobs need at least one ceas value")
-        if self.kind == OPTIMIZE_KIND:
-            if not self.ceas:
-                raise ValueError("optimize jobs need a ceas value")
-            if self.strategy not in ("exhaustive", "evolutionary"):
-                raise ValueError(
-                    f"optimize jobs need a concrete strategy "
-                    f"('exhaustive' or 'evolutionary'), "
-                    f"got {self.strategy!r}"
-                )
-        if self.kind == TRACE_KIND and not self.trace:
-            raise ValueError(
-                "trace jobs need resolved trace params "
-                "(use JobSpec.trace_job)"
             )
 
     # -- construction --------------------------------------------------
@@ -117,17 +266,9 @@ class JobSpec:
     @classmethod
     def experiments(cls, ids: Optional[Sequence[str]] = None,
                     *, chunk_size: int = 0) -> "JobSpec":
-        """An experiments job; ``ids=None`` means the whole registry.
-
-        Ids are normalised eagerly (``"Figure 2"`` → ``"fig2"``) so the
-        stored spec — and therefore the chunk plan — is canonical.
-        """
-        from ..experiments.runner import experiment_ids, \
-            resolve_experiment_id
-
-        keys = (tuple(resolve_experiment_id(i) for i in ids)
-                if ids else tuple(experiment_ids()))
-        return cls(kind=EXPERIMENTS_KIND, ids=keys, chunk_size=chunk_size)
+        """An experiments job; ``ids=None`` means the whole registry."""
+        return cls("experiments", ExperimentsParams.create(ids),
+                   chunk_size=chunk_size)
 
     @classmethod
     def sweep(cls, *, ceas: Sequence[float],
@@ -136,14 +277,12 @@ class JobSpec:
               techniques: Sequence[str] = (),
               chunk_size: int = 0) -> "JobSpec":
         """A sweep-grid job over ``(ceas x budgets)`` in grid order."""
-        return cls(
-            kind=SWEEP_KIND,
+        return cls("sweep", SweepParams(
             ceas=tuple(float(c) for c in ceas),
             budgets=tuple(float(b) for b in budgets),
             alpha=float(alpha),
             techniques=tuple(techniques),
-            chunk_size=chunk_size,
-        )
+        ), chunk_size=chunk_size)
 
     @classmethod
     def optimize(cls, *, ceas: float, budget: float = 1.0,
@@ -162,28 +301,14 @@ class JobSpec:
         exhaustive or evolutionary **here**, so the stored spec — and
         therefore the chunk plan — is canonical.
         """
-        from ..optimize import SearchSpace, resolve_strategy
-        from ..optimize.search import DEFAULT_GENERATIONS, \
-            DEFAULT_POPULATION
-
-        if not isinstance(space, SearchSpace):
-            space = SearchSpace.from_dict(space)
-        resolved = resolve_strategy(strategy, space)
-        return cls(
-            kind=OPTIMIZE_KIND,
-            ceas=(float(ceas),),
-            budgets=(float(budget),),
-            alpha=float(alpha),
-            strategy=resolved,
-            seed=int(seed),
-            generations=int(generations) or DEFAULT_GENERATIONS,
-            population=int(population) or DEFAULT_POPULATION,
-            space=space.to_items(),
-            chunk_size=chunk_size,
-        )
+        return cls("optimize", OptimizeParams.create(
+            ceas=ceas, budget=budget, alpha=alpha, strategy=strategy,
+            seed=seed, generations=generations, population=population,
+            space=space,
+        ), chunk_size=chunk_size)
 
     @classmethod
-    def trace_job(cls, *, params: Optional[Any] = None,
+    def trace_job(cls, *, params: Optional[TraceParams] = None,
                   chunk_size: int = 0, **kwargs: Any) -> "JobSpec":
         """A trace-simulation job (see :mod:`repro.traces`).
 
@@ -192,48 +317,19 @@ class JobSpec:
         keyword arguments directly.  Resolution happens **here**, so
         the stored spec — and therefore the chunk plan — is canonical.
         """
-        from ..traces import TraceParams
-
         if params is None:
             params = TraceParams.create(**kwargs)
         elif kwargs:
             raise ValueError("pass either params or keyword arguments, "
                              "not both")
-        return cls(kind=TRACE_KIND, trace=params.to_items(),
-                   chunk_size=chunk_size)
+        return cls("trace", params, chunk_size=chunk_size)
 
     # -- serialisation -------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form, stored verbatim in the job store."""
-        payload: Dict[str, Any] = {"kind": self.kind,
-                                   "chunk_size": self.chunk_size}
-        if self.kind == EXPERIMENTS_KIND:
-            payload["ids"] = list(self.ids)
-        elif self.kind == OPTIMIZE_KIND:
-            payload.update(
-                ceas=list(self.ceas),
-                budgets=list(self.budgets),
-                alpha=self.alpha,
-                strategy=self.strategy,
-                seed=self.seed,
-                generations=self.generations,
-                population=self.population,
-                space={name: list(values) for name, values in self.space},
-            )
-        elif self.kind == TRACE_KIND:
-            payload["trace"] = {
-                key: (list(value) if isinstance(value, tuple) else value)
-                for key, value in self.trace
-            }
-        else:
-            payload.update(
-                ceas=list(self.ceas),
-                budgets=list(self.budgets),
-                alpha=self.alpha,
-                techniques=list(self.techniques),
-            )
-        return payload
+        return {"kind": self.kind, "chunk_size": self.chunk_size,
+                **self.params.to_dict()}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "JobSpec":
@@ -241,56 +337,16 @@ class JobSpec:
         if not isinstance(payload, dict):
             raise ValueError(f"job spec must be a mapping, "
                              f"got {type(payload).__name__}")
-        kind = payload.get("kind", EXPERIMENTS_KIND)
-        chunk_size = int(payload.get("chunk_size", 0))
-        if kind == EXPERIMENTS_KIND:
-            return cls(kind=kind, ids=tuple(payload.get("ids", ())),
-                       chunk_size=chunk_size)
-        if kind == OPTIMIZE_KIND:
-            from ..optimize.space import SearchSpace
-
-            return cls(
-                kind=kind,
-                ceas=tuple(float(c) for c in payload.get("ceas", ())),
-                budgets=tuple(float(b)
-                              for b in payload.get("budgets", (1.0,))),
-                alpha=float(payload.get("alpha", 0.5)),
-                strategy=str(payload.get("strategy", "")),
-                seed=int(payload.get("seed", 0)),
-                generations=int(payload.get("generations", 0)),
-                population=int(payload.get("population", 0)),
-                space=SearchSpace.from_dict(
-                    payload.get("space")).to_items(),
-                chunk_size=chunk_size,
+        kind = payload.get("kind", "experiments")
+        if kind not in KINDS:
+            raise ValueError(
+                f"unknown job kind {kind!r}; choose from {list(KINDS)}"
             )
-        if kind == TRACE_KIND:
-            from ..traces import TraceParams
-
-            return cls(
-                kind=kind,
-                trace=TraceParams.from_items(
-                    payload.get("trace", {})).to_items(),
-                chunk_size=chunk_size,
-            )
-        return cls(
-            kind=kind,
-            ceas=tuple(float(c) for c in payload.get("ceas", ())),
-            budgets=tuple(float(b) for b in payload.get("budgets", (1.0,))),
-            alpha=float(payload.get("alpha", 0.5)),
-            techniques=tuple(payload.get("techniques", ())),
-            chunk_size=chunk_size,
-        )
+        return cls(kind, KINDS[kind].from_dict(payload),
+                   chunk_size=int(payload.get("chunk_size", 0)))
 
     # -- planning helpers ----------------------------------------------
 
     @property
     def effective_chunk_size(self) -> int:
-        if self.chunk_size > 0:
-            return self.chunk_size
-        if self.kind == EXPERIMENTS_KIND:
-            return DEFAULT_EXPERIMENT_CHUNK
-        if self.kind == OPTIMIZE_KIND:
-            return DEFAULT_OPTIMIZE_CHUNK
-        if self.kind == TRACE_KIND:
-            return DEFAULT_TRACE_CHUNK
-        return DEFAULT_SWEEP_CHUNK
+        return self.chunk_size or self.params.default_chunk

@@ -20,7 +20,6 @@ from .search import (
     OptimizeParams,
     assemble_optimize_artifact,
     execute_optimize_chunk,
-    optimize_chunk_count,
     resolve_strategy,
     run_search,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "execute_optimize_chunk",
     "merge_frontiers",
     "objective_key",
-    "optimize_chunk_count",
     "pareto_frontier",
     "resolve_strategy",
     "run_search",

@@ -32,8 +32,8 @@ supportable count floors to zero cores are counted in ``skipped``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..core.scaling import BandwidthWallModel
 from ..core.solver import BracketError
@@ -53,7 +53,6 @@ __all__ = [
     "DEFAULT_OPTIMIZE_CHUNK",
     "OptimizeParams",
     "resolve_strategy",
-    "optimize_chunk_count",
     "execute_optimize_chunk",
     "assemble_optimize_artifact",
     "run_search",
@@ -125,29 +124,82 @@ class OptimizeParams:
             )
 
     @classmethod
-    def from_spec(cls, spec: Any) -> "OptimizeParams":
-        """Adapt an ``optimize`` :class:`~repro.jobs.spec.JobSpec`."""
+    def create(cls, *, ceas: float, budget: float = 1.0,
+               alpha: float = 0.5, strategy: Optional[str] = AUTO_STRATEGY,
+               seed: int = 0, generations: int = 0, population: int = 0,
+               space: Optional[Any] = None) -> "OptimizeParams":
+        """Canonicalising constructor.
+
+        ``space`` accepts a :class:`SearchSpace`, a ``{dimension:
+        [values]}`` mapping of overrides, or ``None`` for the full
+        default space; ``strategy='auto'`` resolves to a concrete
+        strategy here and zero ``generations``/``population`` take the
+        defaults, so two spellings of one search are equal params.
+        """
+        if not isinstance(space, SearchSpace):
+            space = SearchSpace.from_dict(space)
         return cls(
-            space=SearchSpace.from_items(spec.space),
-            ceas=spec.ceas[0],
-            budget=spec.budgets[0],
-            alpha=spec.alpha,
-            strategy=spec.strategy,
-            seed=spec.seed,
-            generations=spec.generations or DEFAULT_GENERATIONS,
-            population=spec.population or DEFAULT_POPULATION,
-            chunk_size=spec.effective_chunk_size,
+            space=space,
+            ceas=float(ceas),
+            budget=float(budget),
+            alpha=float(alpha),
+            strategy=resolve_strategy(strategy, space),
+            seed=int(seed),
+            generations=int(generations) or DEFAULT_GENERATIONS,
+            population=int(population) or DEFAULT_POPULATION,
         )
 
     def model(self) -> BandwidthWallModel:
         return BandwidthWallModel(baseline=paper_baseline_design(),
                                   alpha=self.alpha)
 
-    def chunk_count(self) -> int:
+    def chunk_count(self, chunk_size: int = 0) -> int:
+        """Chunks of a run: generations, or slices of ``chunk_size``
+        valid configurations (0 means this run's own chunk size)."""
         if self.strategy == EVOLUTIONARY_STRATEGY:
             return self.generations
         valid = self.space.valid_count()
-        return max(1, -(-valid // self.chunk_size))
+        return max(1, -(-valid // (chunk_size or self.chunk_size)))
+
+    # -- job-kind protocol (see repro.jobs.spec.KINDS) -----------------
+
+    default_chunk: ClassVar[int] = DEFAULT_OPTIMIZE_CHUNK
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "ceas": [self.ceas],
+            "budgets": [self.budget],
+            "alpha": self.alpha,
+            "strategy": self.strategy,
+            "seed": self.seed,
+            "generations": self.generations,
+            "population": self.population,
+            "space": self.space.to_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "OptimizeParams":
+        return cls.create(
+            ceas=payload["ceas"][0], budget=payload["budgets"][0],
+            alpha=payload["alpha"], strategy=payload["strategy"],
+            seed=payload["seed"], generations=payload["generations"],
+            population=payload["population"], space=payload.get("space"),
+        )
+
+    def execute_chunk(self, index: int, chunk_size: int) -> Dict[str, Any]:
+        return execute_optimize_chunk(
+            replace(self, chunk_size=chunk_size), index)
+
+    def assemble(self, payloads: Sequence[Dict[str, Any]]
+                 ) -> Dict[str, Any]:
+        return assemble_optimize_artifact(self, payloads)
+
+    def cost(self) -> int:
+        """Design-point evaluations: valid configurations, or
+        generations x population for evolutionary searches."""
+        if self.strategy == EVOLUTIONARY_STRATEGY:
+            return self.generations * self.population
+        return self.space.valid_count()
 
 
 def resolve_strategy(strategy: Optional[str],
@@ -334,12 +386,8 @@ def _evolution_snapshot(params: OptimizeParams,
 
 
 # ----------------------------------------------------------------------
-# Chunk protocol (used by repro.jobs.executor)
+# Chunk protocol (behind the params' job-kind methods)
 # ----------------------------------------------------------------------
-
-def optimize_chunk_count(params: OptimizeParams) -> int:
-    return params.chunk_count()
-
 
 def execute_optimize_chunk(params: OptimizeParams,
                            index: int) -> Dict[str, Any]:

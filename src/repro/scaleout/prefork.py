@@ -2,18 +2,26 @@
 
 Process model
 -------------
-The supervisor binds the listening socket (reserving the port and
-providing the fallback fd), creates the durable job store every child
-shares, then forks N children.  Each child prefers its **own** ``SO_REUSEPORT`` socket
-bound to the same address, which lets the kernel load-balance accepts
-across processes; where that is unavailable (platform without the
-option, or the bind races a port reuse restriction) the child falls
-back to accepting on the fd inherited from the supervisor.  The two
-modes can coexist in one group: reuseport distribution includes the
-inherited socket's queue.
+The supervisor binds the port (reserving it and providing the
+fallback fd), creates the durable job store every child shares, then
+forks N children.  Each child prefers its **own** ``SO_REUSEPORT``
+socket bound to the same address, which lets the kernel load-balance
+accepts across processes; where that is unavailable (platform without
+the option, or the bind races a port reuse restriction) the child
+falls back to accepting on the fd inherited from the supervisor, which
+it then puts into the listening state itself.  The two modes can
+coexist in one group: reuseport distribution includes the inherited
+socket's queue once a child listens on it.
+
+In reuseport mode the supervisor's socket is bound but never listens
+(:func:`bind_supervisor_socket`): a listening socket would join the
+children's reuseport group, the kernel would hash a share of new
+connections into its accept queue, and closing it once the children
+are ready would reset them.  Without reuseport the children accept on
+the inherited fd, so the supervisor listens on it.
 
 A readiness pipe orders startup: the supervisor closes its own copy of
-the listener only after every child reported its accept loop live, so
+the socket only after every child reported its accept loop live, so
 there is no window where the port is bound by nobody.
 
 Shutdown is the single-process contract, fanned out: SIGTERM to the
@@ -45,7 +53,7 @@ import tempfile
 import threading
 import time
 import traceback
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..jobs.store import JobStore
 from ..service.app import (
@@ -62,7 +70,8 @@ from .procutil import (
     supervise,
 )
 
-__all__ = ["create_listening_socket", "serve_prefork"]
+__all__ = ["bind_supervisor_socket", "create_listening_socket",
+           "serve_prefork"]
 
 #: Seconds the supervisor waits for every child's accept loop to come
 #: up before declaring the boot failed.
@@ -70,9 +79,11 @@ READY_TIMEOUT = 60.0
 
 
 def create_listening_socket(host: str, port: int, *,
-                            reuseport: bool = True) -> socket.socket:
-    """A bound, listening TCP socket, with ``SO_REUSEPORT`` when asked
-    for and available (callers check :func:`reuseport_active`)."""
+                            reuseport: bool = True,
+                            listen: bool = True) -> socket.socket:
+    """A bound (by default listening) TCP socket, with ``SO_REUSEPORT``
+    when asked for and available (callers check
+    :func:`reuseport_active`)."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -82,7 +93,8 @@ def create_listening_socket(host: str, port: int, *,
             except OSError:
                 pass  # option exists but the kernel refuses: fall back
         sock.bind((host, port))
-        sock.listen(_ServiceHTTPServer.request_queue_size)
+        if listen:
+            sock.listen(_ServiceHTTPServer.request_queue_size)
     except BaseException:
         sock.close()
         raise
@@ -99,6 +111,21 @@ def reuseport_active(sock: socket.socket) -> bool:
         return False
 
 
+def bind_supervisor_socket(host: str,
+                           port: int) -> Tuple[socket.socket, bool]:
+    """The supervisor's port-holding socket, and whether the children
+    should prefer their own ``SO_REUSEPORT`` sockets.  It listens only
+    when they will accept on it instead."""
+    sock = create_listening_socket(host, port, listen=False)
+    # REPRO_SCALEOUT_NO_REUSEPORT forces the inherited-fd fallback
+    # (tests exercise it on platforms where reuseport would win).
+    prefer_reuseport = reuseport_active(sock) \
+        and not os.environ.get("REPRO_SCALEOUT_NO_REUSEPORT")
+    if not prefer_reuseport:
+        sock.listen(_ServiceHTTPServer.request_queue_size)
+    return sock, prefer_reuseport
+
+
 def serve_prefork(config: ServiceConfig) -> int:
     """Blocking supervisor for ``serve --processes N`` (N >= 2)."""
     owned_dir: Optional[str] = None
@@ -109,7 +136,8 @@ def serve_prefork(config: ServiceConfig) -> int:
         config = dataclasses.replace(config, state_dir=owned_dir)
     try:
         try:
-            listener = create_listening_socket(config.host, config.port)
+            listener, prefer_reuseport = bind_supervisor_socket(
+                config.host, config.port)
         except OSError as error:
             print(f"cannot bind {config.host}:{config.port}: {error}",
                   file=sys.stderr)
@@ -118,10 +146,6 @@ def serve_prefork(config: ServiceConfig) -> int:
         # real port.
         config = dataclasses.replace(
             config, port=listener.getsockname()[1])
-        # REPRO_SCALEOUT_NO_REUSEPORT forces the inherited-fd fallback
-        # (tests exercise it on platforms where reuseport would win).
-        prefer_reuseport = reuseport_active(listener) \
-            and not os.environ.get("REPRO_SCALEOUT_NO_REUSEPORT")
         # Create the job store's file, schema and WAL mode once, before
         # any child exists: children switching a fresh file to WAL at
         # once can fail with "database is locked".  The handle is
@@ -233,6 +257,8 @@ def _child_main(config: ServiceConfig, inherited: socket.socket,
         accept_socket.setblocking(False)
 
     service = BandwidthWallService(config)
+    # The server listens on the socket it adopts: the inherited one may
+    # be bound only (see bind_supervisor_socket).
     server = _ServiceHTTPServer(
         (config.host, config.port), _RequestHandler, service,
         inherited_socket=accept_socket,

@@ -13,8 +13,10 @@ out — wired to the evaluation core:
 * ``GET /v1/experiments`` and ``/v1/experiments/{id}`` →
   :mod:`repro.experiments.runner` payload rendering;
 * ``POST/GET/DELETE /v1/jobs[/{id}]`` → :mod:`repro.jobs` — durable,
-  checkpointed background execution of experiment runs and sweep grids
-  (see docs/JOBS.md);
+  checkpointed background execution of every job kind in
+  :data:`repro.jobs.spec.KINDS` (see docs/JOBS.md);
+* ``POST /v1/optimize``, ``GET /v1/optimize/{id}`` and the same pair
+  under ``/v1/traces`` → aliases of the job routes with the kind fixed;
 * ``GET /healthz``     → liveness + drain state + job-queue health;
 * ``GET /metrics``     → Prometheus text (incl. the ``jobs_*``
   families).
@@ -30,6 +32,7 @@ requests drain up to a deadline, then closes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -48,14 +51,8 @@ from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..analysis.export import dumps_strict, strict_jsonable
 from ..core import memo
-from ..core.presets import paper_baseline_design
-from ..core.scaling import BandwidthWallModel
-from ..core.scenario import (
-    ScenarioRequest,
-    scenario_payload,
-    solve_scenario,
-)
-from ..jobs import JobManager, JobRecord
+from ..core.scenario import scenario_payload, solve_scenario
+from ..jobs import KINDS, JobManager, JobRecord
 from ..jobs.store import FAILED, STATUSES, SUCCEEDED
 from ..resilience.admission import (
     CHEAP,
@@ -98,12 +95,9 @@ from .errors import (
 )
 from .metrics import MetricsRegistry
 from .validation import (
-    SweepRequest,
     validate_job_request,
-    validate_optimize_request,
     validate_solve_request,
     validate_sweep_request,
-    validate_trace_request,
 )
 
 __all__ = [
@@ -275,15 +269,19 @@ class BandwidthWallService:
              self._handle_job_get, "/v1/jobs/{id}"),
             ("DELETE", re.compile(r"^/v1/jobs/(?P<jid>[^/]+)$"),
              self._handle_job_cancel, "/v1/jobs/{id}"),
-            ("POST", re.compile(r"^/v1/optimize$"),
-             self._handle_optimize_submit, "/v1/optimize"),
-            ("GET", re.compile(r"^/v1/optimize/(?P<jid>[^/]+)$"),
-             self._handle_optimize_get, "/v1/optimize/{id}"),
-            ("POST", re.compile(r"^/v1/traces$"),
-             self._handle_trace_submit, "/v1/traces"),
-            ("GET", re.compile(r"^/v1/traces/(?P<jid>[^/]+)$"),
-             self._handle_trace_get, "/v1/traces/{id}"),
         ]
+        # Aliases: the generic job handlers with the kind fixed.
+        for prefix, fixed_kind in (("/v1/optimize", "optimize"),
+                                   ("/v1/traces", "trace")):
+            self._routes += [
+                ("POST", re.compile(f"^{prefix}$"),
+                 functools.partial(self._handle_job_submit,
+                                   fixed_kind=fixed_kind), prefix),
+                ("GET", re.compile(f"^{prefix}/(?P<jid>[^/]+)$"),
+                 functools.partial(self._handle_job_get,
+                                   fixed_kind=fixed_kind),
+                 prefix + "/{id}"),
+            ]
 
     @staticmethod
     def _build_injector(config: ServiceConfig) -> Optional[FaultInjector]:
@@ -424,7 +422,13 @@ class BandwidthWallService:
         # state dir are reflected too.
         self.jobs_submitted = registry.counter(
             "jobs_submitted_total",
-            "Jobs accepted via POST /v1/jobs, by kind.",
+            "Jobs accepted, by kind.",
+            ("kind",),
+        )
+        self.jobs_budgeted = registry.counter(
+            "jobs_budgeted_units_total",
+            "Work units budgeted by accepted jobs, by kind: experiments, "
+            "grid points, design-point evaluations or simulated accesses.",
             ("kind",),
         )
         self.jobs_chunk_latency = registry.histogram(
@@ -482,56 +486,23 @@ class BandwidthWallService:
             "In-process job worker threads currently alive.",
             callback=lambda: self.job_manager.workers_alive(),
         )
-        # Optimizer subsystem (POST /v1/optimize).
-        self.optimize_submitted = registry.counter(
-            "optimize_jobs_submitted_total",
-            "Optimize jobs accepted via POST /v1/optimize, by strategy.",
-            ("strategy",),
+        jobs_by_status = registry.gauge(
+            "jobs",
+            "Jobs in the store, by kind and status.",
+            ("kind", "status"),
         )
-        self.optimize_evaluations = registry.counter(
-            "optimize_evaluations_budgeted_total",
-            "Design-point evaluations budgeted by accepted optimize "
-            "jobs (valid configurations, or generations x population).",
-        )
-        optimize_jobs = registry.gauge(
-            "optimize_jobs",
-            "Optimize jobs in the store, by status.",
-            ("status",),
-        )
-        def optimize_status_gauge(status: str) -> Callable[[], float]:
+
+        def kind_status_gauge(kind: str,
+                              status: str) -> Callable[[], float]:
             return store_gauge(
                 lambda: self.job_manager.store
-                .kind_status_counts("optimize")[status])
+                .kind_status_counts(kind)[status])
 
-        for status in ("queued", "running", "succeeded", "failed",
-                       "cancelled"):
-            optimize_jobs.set_callback(optimize_status_gauge(status),
-                                       status=status)
-        # Trace-simulation subsystem (POST /v1/traces).
-        self.traces_submitted = registry.counter(
-            "traces_jobs_submitted_total",
-            "Trace jobs accepted via POST /v1/traces, by source.",
-            ("source",),
-        )
-        self.traces_accesses = registry.counter(
-            "traces_accesses_budgeted_total",
-            "Simulated memory accesses budgeted by accepted trace jobs.",
-        )
-        trace_jobs = registry.gauge(
-            "traces_jobs",
-            "Trace jobs in the store, by status.",
-            ("status",),
-        )
+        for kind in KINDS:
+            for status in STATUSES:
+                jobs_by_status.set_callback(kind_status_gauge(kind, status),
+                                            kind=kind, status=status)
 
-        def trace_status_gauge(status: str) -> Callable[[], float]:
-            return store_gauge(
-                lambda: self.job_manager.store
-                .kind_status_counts("trace")[status])
-
-        for status in ("queued", "running", "succeeded", "failed",
-                       "cancelled"):
-            trace_jobs.set_callback(trace_status_gauge(status),
-                                    status=status)
     # -- dispatch ------------------------------------------------------
 
     def dispatch(self, method: str, target: str, body: bytes,
@@ -704,51 +675,12 @@ class BandwidthWallService:
         key = ("sweep", request)
         try:
             payload, _ = self.response_cache.get_or_compute(
-                key, lambda: self._compute_sweep(request),
+                key, lambda: request.summary(request.rows()),
                 wait_timeout=self._flight_wait(),
             )
         except (BracketError, ValueError, OverflowError) as error:
             raise UnsolvableError(str(error)) from None
         return self._json_response(payload)
-
-    def _compute_sweep(self, request: SweepRequest) -> Dict[str, Any]:
-        from ..experiments.engine import GridPoint, sweep_grid
-
-        effect, labels = ScenarioRequest(
-            techniques=request.techniques
-        ).combined_effect()
-        model = BandwidthWallModel(paper_baseline_design(),
-                                   alpha=request.alpha)
-        points = [
-            GridPoint(total_ceas=ceas, traffic_budget=budget, effect=effect)
-            for ceas in request.ceas
-            for budget in request.budgets
-        ]
-        solutions = sweep_grid(model, points)
-        rows = [
-            {
-                "ceas": point.total_ceas,
-                "budget": point.traffic_budget,
-                "cores": solution.cores,
-                "continuous_cores": solution.continuous_cores,
-                "core_area_share": solution.core_area_share,
-                "effective_cache_per_core":
-                    solution.effective_cache_per_core,
-                "area_limited": solution.area_limited,
-            }
-            for point, solution in zip(points, solutions)
-        ]
-        return {
-            "request": {
-                "ceas": list(request.ceas),
-                "budgets": list(request.budgets),
-                "alpha": request.alpha,
-                "techniques": list(request.techniques),
-            },
-            "techniques": list(labels),
-            "count": len(rows),
-            "points": rows,
-        }
 
     def _handle_experiments(self, match, query, body) -> Response:
         from ..experiments.runner import experiment_title
@@ -803,17 +735,19 @@ class BandwidthWallService:
                 f"job store unavailable: {error}"
             ) from None
 
-    def _handle_job_submit(self, match, query, body) -> Response:
+    def _handle_job_submit(self, match, query, body,
+                           fixed_kind: Optional[str] = None) -> Response:
         if self.draining.is_set():
             raise ServiceDrainingError(
                 "service is draining; job submissions are not accepted"
             )
-        request = validate_job_request(self._parse_json(body))
+        request = validate_job_request(self._parse_json(body), fixed_kind)
         record = self._store_call(
             self.job_manager.submit,
             request.spec, max_attempts=request.max_attempts,
         )
         self.jobs_submitted.inc(kind=record.kind)
+        self.jobs_budgeted.inc(request.spec.params.cost(), kind=record.kind)
         return self._json_response(self._job_payload(record), status=202)
 
     def _handle_job_list(self, match, query, body) -> Response:
@@ -834,8 +768,14 @@ class BandwidthWallService:
                      for record in records],
         })
 
-    def _handle_job_get(self, match, query, body) -> Response:
+    def _handle_job_get(self, match, query, body,
+                        fixed_kind: Optional[str] = None) -> Response:
         record = self._job_record(match)
+        if fixed_kind not in (None, record.kind):
+            raise NotFoundError(
+                f"job {record.id!r} is a {record.kind} job, not a "
+                f"{fixed_kind} job; fetch it via GET /v1/jobs/{record.id}"
+            )
         return self._json_response(self._job_payload(record))
 
     def _handle_job_cancel(self, match, query, body) -> Response:
@@ -850,55 +790,6 @@ class BandwidthWallService:
         return self._json_response(
             self._job_payload(record, include_result=False)
         )
-
-    def _handle_optimize_submit(self, match, query, body) -> Response:
-        if self.draining.is_set():
-            raise ServiceDrainingError(
-                "service is draining; optimize submissions are not "
-                "accepted"
-            )
-        request = validate_optimize_request(self._parse_json(body))
-        record = self._store_call(
-            self.job_manager.submit,
-            request.spec, max_attempts=request.max_attempts,
-        )
-        self.jobs_submitted.inc(kind=record.kind)
-        self.optimize_submitted.inc(strategy=request.spec.strategy)
-        self.optimize_evaluations.inc(request.num_evaluations)
-        return self._json_response(self._job_payload(record), status=202)
-
-    def _handle_optimize_get(self, match, query, body) -> Response:
-        record = self._job_record(match)
-        if record.kind != "optimize":
-            raise NotFoundError(
-                f"job {record.id!r} is a {record.kind} job, not an "
-                f"optimize job; fetch it via GET /v1/jobs/{record.id}"
-            )
-        return self._json_response(self._job_payload(record))
-
-    def _handle_trace_submit(self, match, query, body) -> Response:
-        if self.draining.is_set():
-            raise ServiceDrainingError(
-                "service is draining; trace submissions are not accepted"
-            )
-        request = validate_trace_request(self._parse_json(body))
-        record = self._store_call(
-            self.job_manager.submit,
-            request.spec, max_attempts=request.max_attempts,
-        )
-        self.jobs_submitted.inc(kind=record.kind)
-        self.traces_submitted.inc(source=request.source)
-        self.traces_accesses.inc(request.total_accesses)
-        return self._json_response(self._job_payload(record), status=202)
-
-    def _handle_trace_get(self, match, query, body) -> Response:
-        record = self._job_record(match)
-        if record.kind != "trace":
-            raise NotFoundError(
-                f"job {record.id!r} is a {record.kind} job, not a "
-                f"trace job; fetch it via GET /v1/jobs/{record.id}"
-            )
-        return self._json_response(self._job_payload(record))
 
     def _job_record(self, match) -> JobRecord:
         job_id = unquote(match.group("jid"))

@@ -195,139 +195,11 @@ class ServiceClient:
 
     # -- jobs ----------------------------------------------------------
 
-    def submit_job(self, spec: Dict[str, Any]) -> Dict[str, Any]:
-        """Raw ``POST /v1/jobs`` with an explicit body (202 on accept)."""
-        return self.request_json("POST", "/v1/jobs", spec)
-
-    def submit_experiments_job(
-            self, ids: Optional[Sequence[str]] = None, *,
-            chunk_size: Optional[int] = None,
-            max_attempts: Optional[int] = None) -> Dict[str, Any]:
-        """Submit a checkpointed experiments run (None = every registry id)."""
-        body: Dict[str, Any] = {"kind": "experiments"}
-        if ids is not None:
-            body["ids"] = list(ids)
-        if chunk_size is not None:
-            body["chunk_size"] = chunk_size
-        if max_attempts is not None:
-            body["max_attempts"] = max_attempts
-        return self.submit_job(body)
-
-    def submit_sweep_job(
-            self, *, ceas: Union[float, Sequence[float]],
-            budgets: Union[float, Sequence[float], None] = None,
-            alpha: float = 0.5, techniques: Sequence[str] = (),
-            chunk_size: Optional[int] = None,
-            max_attempts: Optional[int] = None) -> Dict[str, Any]:
-        """Submit a checkpointed ``(ceas x budgets)`` sweep-grid job."""
-        body: Dict[str, Any] = {
-            "kind": "sweep",
-            "ceas": list(ceas) if isinstance(ceas, (list, tuple)) else ceas,
-            "alpha": alpha,
-            "techniques": list(techniques),
-        }
-        if budgets is not None:
-            body["budgets"] = (list(budgets)
-                               if isinstance(budgets, (list, tuple))
-                               else budgets)
-        if chunk_size is not None:
-            body["chunk_size"] = chunk_size
-        if max_attempts is not None:
-            body["max_attempts"] = max_attempts
-        return self.submit_job(body)
-
-    def submit_optimize(
-            self, *, ceas: float, budget: Optional[float] = None,
-            alpha: Optional[float] = None,
-            strategy: Optional[str] = None,
-            seed: Optional[int] = None,
-            generations: Optional[int] = None,
-            population: Optional[int] = None,
-            space: Optional[Dict[str, Sequence[float]]] = None,
-            chunk_size: Optional[int] = None,
-            max_attempts: Optional[int] = None) -> Dict[str, Any]:
-        """Submit a design-space optimizer job (``POST /v1/optimize``).
-
-        ``space`` maps dimension names to custom value lists (a single
-        value freezes that dimension); omitted knobs take the service
-        defaults.  Returns the 202 job payload.
-        """
-        body: Dict[str, Any] = {"ceas": ceas}
-        if budget is not None:
-            body["budget"] = budget
-        if alpha is not None:
-            body["alpha"] = alpha
-        if strategy is not None:
-            body["strategy"] = strategy
-        if seed is not None:
-            body["seed"] = seed
-        if generations is not None:
-            body["generations"] = generations
-        if population is not None:
-            body["population"] = population
-        if space is not None:
-            body["space"] = {name: list(values)
-                             for name, values in space.items()}
-        if chunk_size is not None:
-            body["chunk_size"] = chunk_size
-        if max_attempts is not None:
-            body["max_attempts"] = max_attempts
-        return self.request_json("POST", "/v1/optimize", body=body)
-
-    def optimize_result(self, job_id: str) -> Dict[str, Any]:
-        """Fetch one optimize job (404 for non-optimize job ids)."""
-        return self.request_json(
-            "GET", "/v1/optimize/" + urllib.parse.quote(job_id, safe=""),
-            retries=IDEMPOTENT_RETRIES,
-        )
-
-    def submit_trace(
-            self, *, source: str,
-            units: Optional[Sequence[Any]] = None,
-            accesses: Optional[int] = None,
-            working_set_lines: Optional[int] = None,
-            line_bytes: Optional[int] = None,
-            seed: Optional[int] = None,
-            line_counts: Optional[Sequence[int]] = None,
-            fit_min_lines: Optional[int] = None,
-            fit_max_lines: Optional[int] = None,
-            associativity: Optional[int] = None,
-            max_attempts: Optional[int] = None) -> Dict[str, Any]:
-        """Submit a trace-simulation job (``POST /v1/traces``).
-
-        ``units`` are source-specific (alphas, core counts, strides);
-        omitted knobs take the service defaults.  Returns the 202 job
-        payload.
-        """
-        body: Dict[str, Any] = {"source": source}
-        if units is not None:
-            body["units"] = list(units)
-        if accesses is not None:
-            body["accesses"] = accesses
-        if working_set_lines is not None:
-            body["working_set_lines"] = working_set_lines
-        if line_bytes is not None:
-            body["line_bytes"] = line_bytes
-        if seed is not None:
-            body["seed"] = seed
-        if line_counts is not None:
-            body["line_counts"] = list(line_counts)
-        if fit_min_lines is not None:
-            body["fit_min_lines"] = fit_min_lines
-        if fit_max_lines is not None:
-            body["fit_max_lines"] = fit_max_lines
-        if associativity is not None:
-            body["associativity"] = associativity
-        if max_attempts is not None:
-            body["max_attempts"] = max_attempts
-        return self.request_json("POST", "/v1/traces", body=body)
-
-    def trace_result(self, job_id: str) -> Dict[str, Any]:
-        """Fetch one trace job (404 for non-trace job ids)."""
-        return self.request_json(
-            "GET", "/v1/traces/" + urllib.parse.quote(job_id, safe=""),
-            retries=IDEMPOTENT_RETRIES,
-        )
+    def submit_job(self, body: Dict[str, Any]) -> Dict[str, Any]:
+        """``POST /v1/jobs`` with a job body whose ``kind`` names one of
+        ``repro.jobs.spec.KINDS`` (202 on accept); :meth:`job` reads
+        its status and, once it succeeded, its result."""
+        return self.request_json("POST", "/v1/jobs", body)
 
     def jobs(self, status: Optional[str] = None) -> Dict[str, Any]:
         path = "/v1/jobs"

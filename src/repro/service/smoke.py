@@ -14,13 +14,15 @@ then asserts the full serving contract:
 4. a bad request gets a structured 400 and an unknown id a 404;
 5. a background job (``POST /v1/jobs``) runs to completion with the
    right artifact, and a second, longer job cancels mid-run;
-5b. a small exhaustive design-space search (``POST /v1/optimize``)
-    completes and returns a Pareto frontier that dominates the
+5b. a small exhaustive design-space search, submitted once through
+    ``POST /v1/jobs`` and once through the ``POST /v1/optimize`` alias,
+    completes twice with the same Pareto frontier, which dominates the
     technique-free baseline;
 6. ``/metrics`` exposes request counters, latency histograms, both
-   cache hit-rate families, the ``jobs_*`` families AND the
-   ``resilience_*`` families, and ``/healthz`` reports job-queue
-   health, worker liveness and the resilience block;
+   cache hit-rate families, the ``jobs_*`` families (with the
+   ``jobs{kind,status}`` series) AND the ``resilience_*`` families, and
+   ``/healthz`` reports job-queue health, worker liveness and the
+   resilience block;
 7. a request past its ``X-Request-Deadline-Ms`` budget gets a 504;
 8. SIGTERM drains and exits cleanly (code 0).
 
@@ -135,8 +137,8 @@ def contract_main() -> int:
         else:
             raise AssertionError("unknown experiment id was accepted")
 
-        submitted = client.submit_experiments_job(["fig13",
-                                                   "ext-amdahl"])
+        submitted = client.submit_job({"kind": "experiments",
+                                       "ids": ["fig13", "ext-amdahl"]})
         _check(submitted["status"] in ("queued", "running"),
                "POST /v1/jobs accepts a background job (202)")
         finished = client.wait_for_job(submitted["id"], timeout=60)
@@ -149,7 +151,7 @@ def contract_main() -> int:
 
         # A longer job (fig14 simulates for seconds): cancel it mid-run
         # and watch it stop at a chunk boundary.
-        doomed = client.submit_experiments_job(["fig14", "fig1"])
+        doomed = client.submit_job({"ids": ["fig14", "fig1"]})
         cancelled = client.cancel_job(doomed["id"])
         _check(cancelled["cancel_requested"]
                or cancelled["status"] == "cancelled",
@@ -158,22 +160,28 @@ def contract_main() -> int:
         _check(terminal["status"] == "cancelled",
                "cancelled job reaches the cancelled status")
 
-        # Design-space optimizer: a small exhaustive space through
-        # POST /v1/optimize must complete and return a frontier.
-        optimize = client.submit_optimize(
-            ceas=256.0, budget=2.0,
-            space={"dram_density": [1.0, 8.0], "stacked_layers": [0],
-                   "line_unused": [0.0], "filter_unused": [0.0],
-                   "core_area_fraction": [1.0],
-                   "sharing_fraction": [0.0]},
-        )
-        _check(optimize["kind"] == "optimize"
-               and optimize["status"] in ("queued", "running"),
-               "POST /v1/optimize accepts a search job (202)")
-        frontier_job = client.wait_for_job(optimize["id"], timeout=60)
-        _check(frontier_job["status"] == "succeeded",
-               "optimize job runs to completion")
-        artifact = client.optimize_result(optimize["id"])["result"]
+        # Design-space optimizer: a small exhaustive space, through
+        # POST /v1/jobs and through the POST /v1/optimize alias, must
+        # complete twice with the same frontier.
+        search = {"ceas": 256.0, "budget": 2.0,
+                  "space": {"dram_density": [1.0, 8.0],
+                            "stacked_layers": [0], "line_unused": [0.0],
+                            "filter_unused": [0.0],
+                            "core_area_fraction": [1.0],
+                            "sharing_fraction": [0.0]}}
+        generic = client.submit_job({"kind": "optimize", **search})
+        alias = client.request_json("POST", "/v1/optimize", search)
+        _check(generic["kind"] == alias["kind"] == "optimize"
+               and generic["spec"] == alias["spec"],
+               "POST /v1/jobs and /v1/optimize accept the same search")
+        done = [client.wait_for_job(job["id"], timeout=60)
+                for job in (generic, alias)]
+        _check(all(job["status"] == "succeeded" for job in done),
+               "optimize jobs run to completion")
+        artifact = client.request_json(
+            "GET", f"/v1/optimize/{alias['id']}")["result"]
+        _check(artifact == done[0]["result"],
+               "both routes yield the same optimize artifact")
         _check(artifact["strategy"] == "exhaustive"
                and artifact["evaluated"] == 32
                and artifact["frontier_size"] >= 1,
@@ -204,8 +212,8 @@ def contract_main() -> int:
             "jobs_succeeded_total",
             "jobs_cancelled_total",
             "jobs_chunk_duration_seconds",
-            'optimize_jobs_submitted_total{strategy="exhaustive"}',
-            "optimize_evaluations_budgeted_total",
+            'jobs{kind="optimize",status="succeeded"} 2',
+            'jobs_budgeted_units_total{kind="optimize"} 64',
             'resilience_breaker_state{dependency="job-store"} 0',
             "resilience_admission_active",
             "resilience_admission_waiting",
@@ -388,7 +396,7 @@ def scaleout_main(processes: int) -> int:
         _check("scaleout_shared_cache" not in client.metrics_text(),
                "no child builds a shared cache tier")
 
-        submitted = client.submit_experiments_job(["fig13"])
+        submitted = client.submit_job({"ids": ["fig13"]})
         finished = client.wait_for_job(submitted["id"], timeout=60)
         _check(finished["status"] == "succeeded",
                "a background job drains through the shared store")

@@ -1,18 +1,32 @@
-"""Request validation: JSON bodies → typed scenario/sweep requests.
+"""Request validation: JSON bodies → typed scenario/sweep/job requests.
 
 Validation is *total*: every field is checked and every problem is
 collected, so a 400 response names all offending fields at once with
 the same diagnostics the CLI prints (unknown technique labels list the
 valid ones, bad parameters name the technique, ...).
+
+A job body is checked by :func:`validate_job_request` (``kind``,
+``chunk_size``, ``max_attempts`` and which fields the kind accepts)
+and by its kind's validator in :data:`VALIDATORS`, keyed by the names
+of :data:`~repro.jobs.spec.KINDS`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.scenario import ScenarioRequest, parse_technique_spec
+from ..jobs.spec import (
+    DEFAULT_MAX_ATTEMPTS,
+    KINDS,
+    ExperimentsParams,
+    JobSpec,
+    SweepParams,
+)
+from ..optimize.search import OptimizeParams
+from ..traces.pipeline import TraceParams
 from .errors import FieldError, ValidationError
 
 __all__ = [
@@ -26,13 +40,12 @@ __all__ = [
     "MAX_TRACE_UNITS",
     "MAX_TRACE_CAPACITIES",
     "MAX_TRACE_WORKING_SET",
-    "SweepRequest",
+    "VALIDATORS",
     "JobRequest",
-    "OptimizeRequest",
-    "TraceRequest",
     "validate_solve_request",
     "validate_sweep_request",
     "validate_job_request",
+    "validate_experiments_request",
     "validate_optimize_request",
     "validate_trace_request",
 ]
@@ -41,20 +54,20 @@ __all__ = [
 #: above it is a 400, not a multi-minute stall.
 MAX_SWEEP_POINTS = 10_000
 
-#: Bounds on ``POST /v1/jobs`` knobs: retry attempts and chunk size.
+#: Bounds on every job's knobs: retry attempts and chunk size.
 MAX_JOB_ATTEMPTS = 10
 MAX_JOB_CHUNK_SIZE = 1_000
 
-#: Bounds on ``POST /v1/optimize``: total solves an accepted request
-#: may cost (exhaustive valid configurations, or generations x
-#: population for evolutionary searches) plus the per-knob caps.
+#: Bounds on optimize jobs: total solves an accepted request may cost
+#: (exhaustive valid configurations, or generations x population for
+#: evolutionary searches) plus the per-knob caps.
 MAX_OPTIMIZE_EVALUATIONS = 20_000
 MAX_OPTIMIZE_GENERATIONS = 200
 MAX_OPTIMIZE_POPULATION = 256
 
-#: Bounds on ``POST /v1/traces``: total simulated accesses an accepted
-#: request may cost (``sharing`` units scale with their core count),
-#: plus per-knob caps keeping one job's memory and latency bounded.
+#: Bounds on trace jobs: total simulated accesses an accepted request
+#: may cost (``sharing`` units scale with their core count), plus
+#: per-knob caps keeping one job's memory and latency bounded.
 MAX_TRACE_ACCESSES = 2_000_000
 MAX_TRACE_UNITS = 16
 MAX_TRACE_CAPACITIES = 64
@@ -62,28 +75,19 @@ MAX_TRACE_WORKING_SET = 1 << 18
 
 _SOLVE_FIELDS = ("ceas", "alpha", "budget", "techniques")
 _SWEEP_FIELDS = ("ceas", "alpha", "budgets", "techniques")
-_JOB_FIELDS = ("kind", "ids", "ceas", "budgets", "alpha", "techniques",
-               "chunk_size", "max_attempts")
-_OPTIMIZE_FIELDS = ("ceas", "budget", "alpha", "strategy", "seed",
-                    "generations", "population", "space", "chunk_size",
-                    "max_attempts")
-_TRACE_FIELDS = ("source", "units", "accesses", "working_set_lines",
-                 "line_bytes", "seed", "line_counts", "fit_min_lines",
-                 "fit_max_lines", "associativity", "max_attempts")
+#: Fields every job kind accepts beside its params' own.
+_JOB_FIELDS = ("kind", "chunk_size", "max_attempts")
 
-
-@dataclass(frozen=True)
-class SweepRequest:
-    """A validated ``POST /v1/sweep`` body: a (ceas x budget) grid."""
-
-    ceas: Tuple[float, ...]
-    budgets: Tuple[float, ...]
-    alpha: float
-    techniques: Tuple[str, ...]
-
-    @property
-    def num_points(self) -> int:
-        return len(self.ceas) * len(self.budgets)
+#: Each job kind's validator, by function name, and the largest
+#: ``chunk_size`` the kind accepts.  The name is resolved in this module
+#: on every call, so a wrapper installed on the module attribute (a
+#: tracer, say) sees validations that come through ``/v1/jobs`` too.
+VALIDATORS = {
+    "experiments": ("validate_experiments_request", MAX_JOB_CHUNK_SIZE),
+    "sweep": ("validate_sweep_request", MAX_JOB_CHUNK_SIZE),
+    "optimize": ("validate_optimize_request", MAX_OPTIMIZE_EVALUATIONS),
+    "trace": ("validate_trace_request", MAX_JOB_CHUNK_SIZE),
+}
 
 
 def _require_object(payload: Any) -> Dict[str, Any]:
@@ -216,9 +220,9 @@ def validate_solve_request(payload: Any) -> ScenarioRequest:
 
 @dataclass(frozen=True)
 class JobRequest:
-    """A validated ``POST /v1/jobs`` body: a spec plus retry budget."""
+    """A validated job body: a spec plus retry budget."""
 
-    spec: "JobSpec"
+    spec: JobSpec
     max_attempts: int
 
 
@@ -273,103 +277,58 @@ def _experiment_ids_field(payload: Dict[str, Any],
     return tuple(keys)
 
 
-def validate_job_request(payload: Any) -> JobRequest:
-    """Validate a ``POST /v1/jobs`` body into a :class:`JobRequest`.
+def validate_job_request(payload: Any,
+                         fixed_kind: Optional[str] = None) -> JobRequest:
+    """Validate a job body into a :class:`JobRequest`.
 
-    ``kind`` defaults to ``"experiments"``; an experiments job with no
-    ``ids`` runs the whole registry.  Sweep jobs take the same grid
-    fields as ``POST /v1/sweep``.
+    ``kind`` defaults to ``"experiments"`` (with no ``ids``, the whole
+    registry).  An alias route passes ``fixed_kind``: the body's
+    ``kind`` may then be omitted, and must match it when present.  Each
+    kind accepts its params' own fields plus ``kind``, ``chunk_size``
+    and ``max_attempts``; its validator checks its own fields.
     """
-    from ..jobs.spec import (
-        DEFAULT_MAX_ATTEMPTS,
-        EXPERIMENTS_KIND,
-        SWEEP_KIND,
-        JobSpec,
-    )
-
     payload = _require_object(payload)
+    kind = payload.get("kind", fixed_kind or "experiments")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValidationError([FieldError(
+            "kind", f"must be one of {list(KINDS)}, got {kind!r}"
+        )])
+    if fixed_kind not in (None, kind):
+        raise ValidationError([FieldError(
+            "kind", f"this route takes {fixed_kind!r} jobs, got {kind!r}"
+        )])
+    validator, max_chunk_size = VALIDATORS[kind]
+    own = [field.name for field in fields(KINDS[kind])
+           if field.name not in _JOB_FIELDS]
     errors: List[FieldError] = []
-    _check_unknown_fields(payload, _JOB_FIELDS, errors)
-    kind = payload.get("kind", EXPERIMENTS_KIND)
-    if kind == "optimize":
-        raise ValidationError([FieldError(
-            "kind", "optimize jobs are submitted via POST /v1/optimize"
-        )])
-    if kind == "trace":
-        raise ValidationError([FieldError(
-            "kind", "trace jobs are submitted via POST /v1/traces"
-        )])
-    if kind not in (EXPERIMENTS_KIND, SWEEP_KIND):
-        errors.append(FieldError(
-            "kind",
-            f"must be one of {[EXPERIMENTS_KIND, SWEEP_KIND]}, "
-            f"got {kind!r}",
-        ))
-        kind = EXPERIMENTS_KIND
+    _check_unknown_fields(payload, _JOB_FIELDS + tuple(own), errors)
     # chunk_size 0 (the default) means "the kind's default chunking".
     chunk_size = 0
     if "chunk_size" in payload:
         chunk_size = _bounded_int(payload, "chunk_size", 1,
-                                  MAX_JOB_CHUNK_SIZE, errors)
+                                  max_chunk_size, errors)
     max_attempts = _bounded_int(payload, "max_attempts",
                                 DEFAULT_MAX_ATTEMPTS, MAX_JOB_ATTEMPTS,
                                 errors)
-    if kind == EXPERIMENTS_KIND:
-        for name in ("ceas", "budgets", "alpha"):
-            if name in payload:
-                errors.append(FieldError(
-                    name, "only valid for sweep jobs"
-                ))
-        ids = _experiment_ids_field(payload, errors)
-        if errors:
-            raise ValidationError(errors)
-        spec = (JobSpec.experiments(ids, chunk_size=chunk_size) if ids
-                else JobSpec.experiments(chunk_size=chunk_size))
-        return JobRequest(spec=spec, max_attempts=max_attempts)
-    if "ids" in payload:
-        errors.append(FieldError("ids", "only valid for experiments jobs"))
-    if "ceas" not in payload:
-        errors.append(FieldError(
-            "ceas", "required for sweep jobs: a number or non-empty "
-                    "list of die sizes"
-        ))
-    ceas = _number_list(payload, "ceas", (32.0,), errors)
-    budgets = _number_list(payload, "budgets", (1.0,), errors)
-    alpha = _positive_number(payload, "alpha", 0.5, errors)
-    techniques = _technique_specs(payload, errors)
-    _combined_effect_errors(techniques, errors)
-    if len(ceas) * len(budgets) > MAX_SWEEP_POINTS:
-        errors.append(FieldError(
-            "ceas",
-            f"grid too large: {len(ceas)} ceas x {len(budgets)} budgets "
-            f"> {MAX_SWEEP_POINTS} points",
-        ))
+    try:
+        params = globals()[validator](
+            {name: payload[name] for name in own if name in payload})
+    except ValidationError as error:
+        errors.extend(error.errors)
     if errors:
         raise ValidationError(errors)
-    return JobRequest(
-        spec=JobSpec.sweep(ceas=ceas, budgets=budgets, alpha=alpha,
-                           techniques=techniques, chunk_size=chunk_size),
-        max_attempts=max_attempts,
-    )
+    return JobRequest(spec=JobSpec(kind, params, chunk_size=chunk_size),
+                      max_attempts=max_attempts)
 
 
-@dataclass(frozen=True)
-class OptimizeRequest:
-    """A validated ``POST /v1/optimize`` body: a resolved optimize
-    :class:`~repro.jobs.spec.JobSpec` plus retry budget."""
-
-    spec: "JobSpec"
-    max_attempts: int
-
-    @property
-    def num_evaluations(self) -> int:
-        """Solve budget the request admits to (admission-control cost)."""
-        from ..optimize import SearchSpace
-        from ..optimize.search import EVOLUTIONARY_STRATEGY
-
-        if self.spec.strategy == EVOLUTIONARY_STRATEGY:
-            return self.spec.generations * self.spec.population
-        return SearchSpace.from_items(self.spec.space).valid_count()
+def validate_experiments_request(payload: Any) -> ExperimentsParams:
+    """An experiments job's fields: ``ids`` in any accepted spelling;
+    none means the whole registry."""
+    errors: List[FieldError] = []
+    ids = _experiment_ids_field(payload, errors)
+    if errors:
+        raise ValidationError(errors)
+    return ExperimentsParams.create(ids)
 
 
 def _space_field(payload: Dict[str, Any],
@@ -409,28 +368,24 @@ def _space_field(payload: Dict[str, Any],
         return SearchSpace.build()
 
 
-def validate_optimize_request(payload: Any) -> OptimizeRequest:
-    """Validate a ``POST /v1/optimize`` body into an optimize job spec.
+def validate_optimize_request(payload: Any) -> OptimizeParams:
+    """An optimize job's fields, resolved into :class:`OptimizeParams`.
 
     ``strategy`` defaults to ``auto`` (exhaustive for small spaces,
-    evolutionary above the threshold); the resolved spec stores the
-    concrete strategy.  The request's total solve budget — valid
-    configurations for exhaustive, ``generations x population`` for
-    evolutionary — is capped at :data:`MAX_OPTIMIZE_EVALUATIONS`.
+    evolutionary above the threshold); the params hold the concrete
+    strategy.  The search's total solve budget — valid configurations
+    for exhaustive, ``generations x population`` for evolutionary — is
+    capped at :data:`MAX_OPTIMIZE_EVALUATIONS`.
     """
-    from ..jobs.spec import DEFAULT_MAX_ATTEMPTS, JobSpec
     from ..optimize.search import (
         AUTO_STRATEGY,
         DEFAULT_GENERATIONS,
         DEFAULT_POPULATION,
         EXHAUSTIVE_STRATEGY,
         STRATEGIES,
-        resolve_strategy,
     )
 
-    payload = _require_object(payload)
     errors: List[FieldError] = []
-    _check_unknown_fields(payload, _OPTIMIZE_FIELDS, errors)
     if "ceas" not in payload:
         errors.append(FieldError(
             "ceas", "required: the die size (in CEAs) to optimize for"
@@ -457,55 +412,22 @@ def validate_optimize_request(payload: Any) -> OptimizeRequest:
                                MAX_OPTIMIZE_GENERATIONS, errors)
     population = _bounded_int(payload, "population", DEFAULT_POPULATION,
                               MAX_OPTIMIZE_POPULATION, errors)
-    chunk_size = 0
-    if "chunk_size" in payload:
-        chunk_size = _bounded_int(payload, "chunk_size", 1,
-                                  MAX_OPTIMIZE_EVALUATIONS, errors)
-    max_attempts = _bounded_int(payload, "max_attempts",
-                                DEFAULT_MAX_ATTEMPTS, MAX_JOB_ATTEMPTS,
-                                errors)
-    space = _space_field(payload, errors)
-    resolved = resolve_strategy(strategy, space)
-    cost = (space.valid_count() if resolved == EXHAUSTIVE_STRATEGY
-            else generations * population)
-    if cost > MAX_OPTIMIZE_EVALUATIONS:
-        field = ("space" if resolved == EXHAUSTIVE_STRATEGY
+    params = OptimizeParams.create(
+        ceas=ceas, budget=budget, alpha=alpha, strategy=strategy,
+        seed=seed, generations=generations, population=population,
+        space=_space_field(payload, errors),
+    )
+    if params.cost() > MAX_OPTIMIZE_EVALUATIONS:
+        field = ("space" if params.strategy == EXHAUSTIVE_STRATEGY
                  else "generations")
         errors.append(FieldError(
             field,
-            f"search budget too large: {cost} evaluations "
+            f"search budget too large: {params.cost()} evaluations "
             f"> {MAX_OPTIMIZE_EVALUATIONS}",
         ))
     if errors:
         raise ValidationError(errors)
-    return OptimizeRequest(
-        spec=JobSpec.optimize(
-            ceas=ceas, budget=budget, alpha=alpha, strategy=resolved,
-            seed=seed, generations=generations, population=population,
-            space=space, chunk_size=chunk_size,
-        ),
-        max_attempts=max_attempts,
-    )
-
-
-@dataclass(frozen=True)
-class TraceRequest:
-    """A validated ``POST /v1/traces`` body: a resolved trace
-    :class:`~repro.jobs.spec.JobSpec` plus retry budget."""
-
-    spec: "JobSpec"
-    max_attempts: int
-
-    @property
-    def total_accesses(self) -> int:
-        """Simulated accesses the request admits to (admission cost)."""
-        from ..traces import TraceParams
-
-        return TraceParams.from_spec(self.spec).total_accesses
-
-    @property
-    def source(self) -> str:
-        return dict(self.spec.trace)["source"]
+    return params
 
 
 def _trace_units_field(payload: Dict[str, Any], source: str,
@@ -593,21 +515,17 @@ def _trace_line_counts_field(payload: Dict[str, Any],
     return values if values else None
 
 
-def validate_trace_request(payload: Any) -> TraceRequest:
-    """Validate a ``POST /v1/traces`` body into a trace job spec.
+def validate_trace_request(payload: Any) -> TraceParams:
+    """A trace job's fields, resolved into :class:`TraceParams`.
 
     Only synthetic sources are accepted over HTTP — ``file`` traces
-    would make the service read server-side paths.  The request's total
+    would make the service read server-side paths.  The job's total
     simulated-access cost (``sharing`` units scale with their core
     count) is capped at :data:`MAX_TRACE_ACCESSES`.
     """
-    from ..jobs.spec import DEFAULT_MAX_ATTEMPTS, JobSpec
-    from ..traces import TraceParams
     from ..traces.synthesis import SYNTHETIC_SOURCES
 
-    payload = _require_object(payload)
     errors: List[FieldError] = []
-    _check_unknown_fields(payload, _TRACE_FIELDS, errors)
     source = payload.get("source")
     if source is None:
         errors.append(FieldError(
@@ -657,9 +575,6 @@ def validate_trace_request(payload: Any) -> TraceRequest:
     if "associativity" in payload:
         associativity = _bounded_int(payload, "associativity", 8, 64,
                                      errors)
-    max_attempts = _bounded_int(payload, "max_attempts",
-                                DEFAULT_MAX_ATTEMPTS, MAX_JOB_ATTEMPTS,
-                                errors)
     if errors:
         raise ValidationError(errors)
     try:
@@ -679,14 +594,12 @@ def validate_trace_request(payload: Any) -> TraceRequest:
             f"accesses > {MAX_TRACE_ACCESSES} (sharing units multiply "
             f"accesses by their core count)",
         )])
-    return TraceRequest(
-        spec=JobSpec.trace_job(params=params),
-        max_attempts=max_attempts,
-    )
+    return params
 
 
-def validate_sweep_request(payload: Any) -> SweepRequest:
-    """Validate a ``POST /v1/sweep`` body into a :class:`SweepRequest`."""
+def validate_sweep_request(payload: Any) -> SweepParams:
+    """Validate a ``POST /v1/sweep`` body (or a sweep job's fields)
+    into :class:`~repro.jobs.spec.SweepParams`."""
     payload = _require_object(payload)
     errors: List[FieldError] = []
     _check_unknown_fields(payload, _SWEEP_FIELDS, errors)
@@ -707,6 +620,6 @@ def validate_sweep_request(payload: Any) -> SweepRequest:
         ))
     if errors:
         raise ValidationError(errors)
-    return SweepRequest(
+    return SweepParams(
         ceas=ceas, budgets=budgets, alpha=alpha, techniques=techniques
     )

@@ -38,7 +38,6 @@ from .pipeline import (
     assemble_trace_artifact,
     execute_trace_chunk,
     run_trace,
-    trace_chunk_count,
 )
 from .simulate import TraceSimulation, cross_check_curve, simulate_trace
 from .synthesis import TRACE_SOURCES, trace_source_streams
@@ -55,6 +54,5 @@ __all__ = [
     "fit_yavits",
     "run_trace",
     "simulate_trace",
-    "trace_chunk_count",
     "trace_source_streams",
 ]

@@ -15,7 +15,7 @@ contract :mod:`repro.optimize.search` established.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, ClassVar, Dict, List, Sequence, Tuple, Union
 
 from .fitting import calibrated_model, fit_yavits
 from .simulate import cross_check_curve, curve_max_delta, simulate_trace
@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_LINE_COUNTS",
     "DEFAULT_UNITS",
     "TraceParams",
-    "trace_chunk_count",
     "execute_trace_chunk",
     "assemble_trace_artifact",
     "run_trace",
@@ -177,11 +176,6 @@ class TraceParams:
         )
 
     @classmethod
-    def from_spec(cls, spec: Any) -> "TraceParams":
-        """Adapt a ``trace`` :class:`~repro.jobs.spec.JobSpec`."""
-        return cls.from_items(spec.trace)
-
-    @classmethod
     def from_items(cls, items: Any) -> "TraceParams":
         """Inverse of :meth:`to_items` (tolerates JSON's list-for-tuple)."""
         payload = dict(items)
@@ -218,7 +212,8 @@ class TraceParams:
 
     # -- planning ------------------------------------------------------
 
-    def chunk_count(self) -> int:
+    def chunk_count(self, chunk_size: int = 0) -> int:
+        """One unit per chunk, whatever ``chunk_size`` asks for."""
         return len(self.units)
 
     def reference_line_count(self) -> int:
@@ -233,14 +228,34 @@ class TraceParams:
             return sum(self.accesses * int(unit) for unit in self.units)
         return self.accesses * len(self.units)
 
+    # -- job-kind protocol (see repro.jobs.spec.KINDS) -----------------
+
+    default_chunk: ClassVar[int] = 1
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"trace": {
+            key: (list(value) if isinstance(value, tuple) else value)
+            for key, value in self.to_items()
+        }}
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "TraceParams":
+        return cls.from_items(payload.get("trace", {}))
+
+    def execute_chunk(self, index: int, chunk_size: int) -> Dict[str, Any]:
+        return execute_trace_chunk(self, index)
+
+    def assemble(self, payloads: Sequence[Dict[str, Any]]
+                 ) -> Dict[str, Any]:
+        return assemble_trace_artifact(self, payloads)
+
+    def cost(self) -> int:
+        return self.total_accesses
+
 
 # ----------------------------------------------------------------------
-# Chunk protocol (used by repro.jobs.executor)
+# Chunk protocol (behind the params' job-kind methods)
 # ----------------------------------------------------------------------
-
-
-def trace_chunk_count(params: TraceParams) -> int:
-    return params.chunk_count()
 
 
 def _fit_bounds(params: TraceParams) -> Dict[str, Any]:

@@ -1,5 +1,6 @@
 """Shared fixtures: one serial and one parallel full-registry sweep,
-and the guards that fail a test or the session for what it leaks.
+and the guards that fail a test, a module or the session for what it
+leaks.
 
 The golden harness and the engine-equivalence tests both need "run
 everything" results in both modes; computing each sweep once per
@@ -8,6 +9,8 @@ session keeps the suite's wall time at two registry runs total.
 
 import os
 import tempfile
+import threading
+import time
 
 import pytest
 
@@ -54,6 +57,26 @@ def no_leaked_child_processes():
     if leaked:
         pytest.fail("test left child processes behind: " + "; ".join(
             f"{pid} ({_command_line(pid)})" for pid in sorted(leaked)))
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_threads():
+    """Fail a test module that leaves a thread it started alive.
+
+    Autouse fixtures are set up first within their scope, so this one
+    is torn down after the module's own module-scoped fixtures (its
+    services and their workers).  Threads get a short grace to finish
+    exiting once their owner stopped them."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 2.0
+    leaked = [thread for thread in threading.enumerate()
+              if thread not in before]
+    for thread in leaked:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    alive = [thread.name for thread in leaked if thread.is_alive()]
+    if alive:
+        pytest.fail(f"test module left threads running: {alive}")
 
 
 def _owned_temp_dirs():

@@ -1,9 +1,9 @@
 """Crash-resume: SIGKILL a worker process mid-chunk, restart, resume.
 
-The acceptance bar for the whole subsystem: a job whose worker died
-without any chance to clean up must, after a restart, produce an
-artifact byte-identical to an uninterrupted serial run — and must not
-re-execute any chunk that was already checkpointed.
+The acceptance bar for the whole subsystem, for every job kind: a job
+whose worker died without any chance to clean up must, after a
+restart, produce an artifact byte-identical to an uninterrupted serial
+run — and must not re-execute any chunk that was already checkpointed.
 
 The worker process is the real ``python -m repro.jobs.worker`` entry
 point; the test talks to it only through the shared state dir.  The
@@ -29,13 +29,41 @@ from repro.jobs.executor import (
     encode_artifact,
     serial_artifact,
 )
-from repro.jobs.spec import JobSpec
+from repro.jobs.spec import KINDS, JobSpec
 from repro.jobs.store import SUCCEEDED, JobStore
 from repro.jobs.worker import CHUNK_LOG_ENV, CHUNK_SLEEP_ENV
 
 GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
 CHEAP_IDS = ["fig13", "ext-amdahl", "fig10", "fig7"]
 LEASE_TTL = 1.0
+
+#: Small enough to solve in milliseconds, large enough to have a
+#: non-trivial frontier.
+TINY_SPACE = {
+    "cache_compression": [1.0, 2.0],
+    "link_compression": [1.0, 2.0],
+    "dram_density": [1.0, 8.0],
+    "stacked_layers": [0],
+    "line_unused": [0.0],
+    "filter_unused": [0.0, 0.4],
+    "core_area_fraction": [1.0],
+    "sharing_fraction": [0.0],
+}
+
+#: One multi-chunk job per kind, each about a second of real work.
+SPECS = {
+    "experiments": lambda: JobSpec.experiments(CHEAP_IDS),
+    "sweep": lambda: JobSpec.sweep(
+        ceas=[16, 24, 32, 48, 64, 96], budgets=[1.0, 2.0], alpha=0.45,
+        techniques=["DRAM=8"], chunk_size=3),
+    "optimize": lambda: JobSpec.optimize(
+        ceas=256.0, budget=2.0, strategy="evolutionary", seed=11,
+        generations=8, population=8, space=TINY_SPACE),
+    "trace": lambda: JobSpec.trace_job(
+        source="powerlaw", units=(0.36, 0.48, 0.62), accesses=5000,
+        working_set_lines=2048,
+        line_counts=tuple(2**k for k in range(3, 10)), fit_max_lines=512),
+}
 
 
 def worker_command(state_dir, worker_id, *, once=False):
@@ -80,9 +108,15 @@ def chunk_execution_counts(chunk_log):
     return counts
 
 
+def test_every_kind_is_covered():
+    assert list(SPECS) == list(KINDS)
+
+
 @pytest.mark.slow
-def test_sigkill_mid_chunk_then_restart_is_byte_identical(tmp_path):
-    spec = JobSpec.experiments(CHEAP_IDS)
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_sigkill_mid_chunk_then_restart_is_byte_identical(tmp_path, kind):
+    spec = SPECS[kind]()
+    assert spec.kind == kind and chunk_count(spec) >= 3
     store = JobStore(tmp_path)
     job = store.submit(spec, chunks_total=chunk_count(spec))
     chunk_log = tmp_path / "chunks.log"
@@ -116,7 +150,7 @@ def test_sigkill_mid_chunk_then_restart_is_byte_identical(tmp_path):
         worker_command(tmp_path, "successor", once=True),
         env=worker_env(chunk_log),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        timeout=60,
+        timeout=120,
     )
     assert resume.returncode == 0
 
@@ -125,14 +159,15 @@ def test_sigkill_mid_chunk_then_restart_is_byte_identical(tmp_path):
     assert record.attempts == 2  # victim's lease + successor's
 
     # Byte-identity: the resumed artifact equals a chunkless serial run
-    # and every entry equals its golden snapshot.
+    # (and, for experiments, every entry equals its golden snapshot).
     assert record.result_text == encode_artifact(serial_artifact(spec))
-    artifact = json.loads(record.result_text)
-    assert [e["experiment_id"] for e in artifact["experiments"]] == \
-        CHEAP_IDS
-    for entry in artifact["experiments"]:
-        golden = GOLDENS / f"{entry['experiment_id']}.json"
-        assert json.dumps(entry, indent=1) + "\n" == golden.read_text()
+    if kind == "experiments":
+        artifact = json.loads(record.result_text)
+        assert [e["experiment_id"] for e in artifact["experiments"]] == \
+            CHEAP_IDS
+        for entry in artifact["experiments"]:
+            golden = GOLDENS / f"{entry['experiment_id']}.json"
+            assert json.dumps(entry, indent=1) + "\n" == golden.read_text()
 
     # Checkpointed chunks were executed exactly once; only the chunk
     # that was in flight when SIGKILL landed may have run twice.

@@ -28,7 +28,7 @@ class FakeClock:
         self.now += seconds
 
 
-SPEC = JobSpec(kind="experiments", ids=("fig13", "ext-amdahl"))
+SPEC = JobSpec.experiments(["fig13", "ext-amdahl"])
 
 
 @pytest.fixture()

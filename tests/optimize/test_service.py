@@ -1,9 +1,10 @@
-"""``/v1/optimize`` end-to-end: real server, real workers, real store.
+"""Optimize jobs end-to-end: real server, real workers, real store.
 
-Submission over HTTP, completion through the durable-jobs machinery,
-frontier retrieval via both the generic jobs API and the dedicated
-optimize endpoint, field-level validation, admission-control cost caps,
-resubmission determinism, and the ``optimize_*`` metric families.
+Submission over HTTP (``POST /v1/jobs`` and its ``/v1/optimize``
+alias), completion through the durable-jobs machinery, frontier
+retrieval via both the generic jobs API and the alias, field-level
+validation, admission-control cost caps, resubmission determinism, and
+the optimize series of the ``jobs_*`` metric families.
 """
 
 import pytest
@@ -42,10 +43,14 @@ def client(running):
     return running.client()
 
 
+def submit(client, **body):
+    return client.submit_job({"kind": "optimize", **body})
+
+
 class TestLifecycle:
     def test_submit_complete_and_fetch_frontier(self, client):
-        accepted = client.submit_optimize(ceas=256.0, budget=2.0,
-                                          space=TINY_SPACE)
+        accepted = submit(client, ceas=256.0, budget=2.0,
+                          space=TINY_SPACE)
         assert accepted["kind"] == "optimize"
         assert accepted["status"] in ("queued", "running")
 
@@ -60,15 +65,26 @@ class TestLifecycle:
         assert result["objectives"] == \
             ["cores", "cache_fraction", "traffic"]
 
-        via_optimize = client.optimize_result(accepted["id"])
+        via_optimize = client.request_json(
+            "GET", f"/v1/optimize/{accepted['id']}")
         assert via_optimize["result"] == result
+
+    def test_jobs_route_and_alias_agree(self, client):
+        body = {"ceas": 96.0, "budget": 2.0, "space": TINY_SPACE}
+        generic = submit(client, **body)
+        alias = client.request_json("POST", "/v1/optimize", body)
+        assert alias["kind"] == "optimize"
+        assert generic["spec"] == alias["spec"]
+        done = [client.wait_for_job(job["id"], timeout=60)
+                for job in (generic, alias)]
+        assert done[0]["result"] == done[1]["result"]
 
     def test_evolutionary_resubmission_is_deterministic(self, client):
         request = dict(ceas=256.0, budget=2.0, strategy="evolutionary",
                        seed=13, generations=3, population=8,
                        space=TINY_SPACE)
-        first = client.submit_optimize(**request)
-        second = client.submit_optimize(**request)
+        first = submit(client, **request)
+        second = submit(client, **request)
         assert first["id"] != second["id"]
         a = client.wait_for_job(first["id"], timeout=60)
         b = client.wait_for_job(second["id"], timeout=60)
@@ -76,19 +92,19 @@ class TestLifecycle:
         assert a["result"]["evaluated"] == 24
 
     def test_optimize_endpoint_rejects_other_kinds(self, client):
-        accepted = client.submit_experiments_job(["fig13"])
+        accepted = client.submit_job({"ids": ["fig13"]})
         client.wait_for_job(accepted["id"], timeout=30)
         with pytest.raises(ServiceError) as excinfo:
-            client.optimize_result(accepted["id"])
+            client.request_json("GET", f"/v1/optimize/{accepted['id']}")
         assert excinfo.value.status == 404
 
     def test_unknown_optimize_job_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client.optimize_result("nope")
+            client.request_json("GET", "/v1/optimize/nope")
         assert excinfo.value.status == 404
 
     def test_generic_jobs_api_sees_optimize_jobs(self, client):
-        accepted = client.submit_optimize(ceas=64.0, space=TINY_SPACE)
+        accepted = submit(client, ceas=64.0, space=TINY_SPACE)
         record = client.job(accepted["id"])
         assert record["kind"] == "optimize"
         client.wait_for_job(accepted["id"], timeout=60)
@@ -102,21 +118,20 @@ class TestValidation:
 
     def test_ceas_required_and_all_errors_collected(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client.submit_optimize(ceas=None, strategy="bogus",
-                                   seed="soon")  # type: ignore[arg-type]
+            submit(client, strategy="bogus", seed="soon")
         fields = self.field_names(excinfo)
         assert {"ceas", "strategy", "seed"} <= fields
 
     def test_bad_space_dimension_named_in_error(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client.submit_optimize(ceas=256.0,
-                                   space={"warp_drive": [2.0]})
+            submit(client, ceas=256.0,
+                   space={"warp_drive": [2.0]})
         assert "space" in self.field_names(excinfo)
 
     def test_bad_space_values_named_per_dimension(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client.submit_optimize(ceas=256.0,
-                                   space={"cache_compression": []})
+            submit(client, ceas=256.0,
+                   space={"cache_compression": []})
         assert "space.cache_compression" in self.field_names(excinfo)
 
     def test_exhaustive_over_budget_rejected(self, client):
@@ -125,35 +140,26 @@ class TestValidation:
         wide = {"cache_compression":
                 [1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5]}
         with pytest.raises(ServiceError) as excinfo:
-            client.submit_optimize(ceas=256.0, strategy="exhaustive",
-                                   space=wide)
+            submit(client, ceas=256.0, strategy="exhaustive",
+                   space=wide)
         assert "space" in self.field_names(excinfo)
 
     def test_evolutionary_over_budget_rejected(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client.submit_optimize(ceas=256.0, strategy="evolutionary",
-                                   generations=200, population=256)
+            submit(client, ceas=256.0, strategy="evolutionary",
+                   generations=200, population=256)
         assert "generations" in self.field_names(excinfo)
-
-    def test_optimize_kind_rejected_on_generic_jobs_endpoint(
-        self, client
-    ):
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit_job({"kind": "optimize", "ceas": 256.0})
-        assert excinfo.value.status == 400
-        assert any("POST /v1/optimize" in error["message"]
-                   for error in excinfo.value.field_errors)
 
 
 class TestObservability:
     def test_optimize_metric_families_render(self, client):
-        accepted = client.submit_optimize(ceas=128.0, space=TINY_SPACE)
+        accepted = submit(client, ceas=128.0, space=TINY_SPACE)
         client.wait_for_job(accepted["id"], timeout=60)
         text = client.metrics_text()
-        assert 'optimize_jobs_submitted_total{strategy="exhaustive"}' \
-            in text
-        assert "optimize_evaluations_budgeted_total" in text
-        assert 'optimize_jobs{status="succeeded"}' in text
+        assert 'jobs_submitted_total{kind="optimize"}' in text
+        assert 'jobs_budgeted_units_total{kind="optimize"}' in text
+        assert 'jobs{kind="optimize",status="succeeded"}' in text
+        assert "optimize_jobs" not in text
 
     def test_healthz_stays_ok_with_optimize_jobs(self, client):
         payload = client.healthz()

@@ -31,7 +31,7 @@ GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
 
 SWEEP = JobSpec.sweep(ceas=(16.0, 32.0, 64.0), budgets=(1.0, 2.0),
                       alpha=0.5, chunk_size=2)
-EXPERIMENTS = JobSpec(kind="experiments", ids=("fig13", "ext-amdahl"))
+EXPERIMENTS = JobSpec.experiments(["fig13", "ext-amdahl"])
 
 
 def run_fleet_subprocess(state_dir, processes) -> str:

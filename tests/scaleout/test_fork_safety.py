@@ -27,7 +27,7 @@ pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="requires os.fork"
 )
 
-SPEC = JobSpec(kind="experiments", ids=("fig13",))
+SPEC = JobSpec.experiments(["fig13"])
 
 
 def run_in_child(target) -> int:

@@ -244,3 +244,46 @@ def test_sigterm_during_startup_stops_every_child(tmp_path):
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
+
+
+@pytest.mark.skipif(not hasattr(socket, "SO_REUSEPORT"),
+                    reason="requires SO_REUSEPORT")
+def test_closing_the_supervisor_socket_resets_no_connection(monkeypatch):
+    """The supervisor's port-holding socket must not take a share of the
+    children's connections: it closes once they are ready, and would
+    reset every connection queued on it."""
+    from repro.scaleout.prefork import (
+        bind_supervisor_socket,
+        create_listening_socket,
+    )
+
+    monkeypatch.delenv("REPRO_SCALEOUT_NO_REUSEPORT", raising=False)
+    supervisor, prefer_reuseport = bind_supervisor_socket("127.0.0.1", 0)
+    child = create_listening_socket("127.0.0.1",
+                                    supervisor.getsockname()[1])
+    clients, accepted = [], []
+    try:
+        assert prefer_reuseport
+        for _ in range(50):
+            clients.append(socket.create_connection(
+                child.getsockname(), timeout=5.0))
+        supervisor.close()
+        child.settimeout(2.0)
+        while len(accepted) < len(clients):
+            try:
+                connection, _ = child.accept()
+            except socket.timeout:
+                break
+            accepted.append(connection)
+            connection.sendall(b"ok")
+        replies = []
+        for client in clients:
+            try:
+                replies.append(client.recv(2))
+            except ConnectionResetError:
+                replies.append(b"reset")
+        assert len(accepted) == 50
+        assert replies == [b"ok"] * 50
+    finally:
+        for sock in clients + accepted + [child, supervisor]:
+            sock.close()

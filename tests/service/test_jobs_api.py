@@ -48,7 +48,7 @@ def client(running):
 
 class TestLifecycle:
     def test_submit_poll_result(self, client):
-        accepted = client.submit_experiments_job(CHEAP_IDS)
+        accepted = client.submit_job({"ids": CHEAP_IDS})
         assert accepted["status"] in ("queued", "running")
         assert accepted["kind"] == "experiments"
         assert accepted["progress"]["chunks_total"] == len(CHEAP_IDS)
@@ -67,7 +67,8 @@ class TestLifecycle:
     def test_sweep_job_matches_sweep_endpoint(self, client):
         request = dict(ceas=[16.0, 32.0, 64.0], budgets=[1.0, 2.0],
                        alpha=0.45, techniques=["DRAM=8"])
-        accepted = client.submit_sweep_job(chunk_size=2, **request)
+        accepted = client.submit_job(
+            {"kind": "sweep", "chunk_size": 2, **request})
         done = client.wait_for_job(accepted["id"], timeout=30)
         assert done["status"] == "succeeded"
         sweep = client.sweep(**request)
@@ -76,7 +77,7 @@ class TestLifecycle:
         assert done["result"]["request"] == sweep["request"]
 
     def test_list_and_status_filter(self, client):
-        accepted = client.submit_experiments_job(["fig13"])
+        accepted = client.submit_job({"ids": ["fig13"]})
         client.wait_for_job(accepted["id"], timeout=30)
         listing = client.jobs()
         assert listing["count"] >= 1
@@ -87,7 +88,7 @@ class TestLifecycle:
                    for job in succeeded["jobs"])
 
     def test_cancel_finished_job_conflicts(self, client):
-        accepted = client.submit_experiments_job(["fig13"])
+        accepted = client.submit_job({"ids": ["fig13"]})
         client.wait_for_job(accepted["id"], timeout=30)
         with pytest.raises(ServiceError) as excinfo:
             client.cancel_job(accepted["id"])
@@ -109,9 +110,18 @@ class TestValidation:
                 for error in excinfo.value.field_errors}
 
     def test_unknown_kind(self, client):
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit_job({"kind": "nonsense"})
-        assert "kind" in self.field_names(excinfo)
+        # Non-string kinds, unhashable ones included, are a 400 too.
+        for kind in ("nonsense", [], {}, 1):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_job({"kind": kind})
+            assert "kind" in self.field_names(excinfo)
+
+    def test_alias_refuses_another_kind(self, client):
+        for path in ("/v1/optimize", "/v1/traces"):
+            with pytest.raises(ServiceError) as excinfo:
+                client.request_json("POST", path,
+                                    {"kind": "sweep", "ceas": 32})
+            assert self.field_names(excinfo) == {"kind"}
 
     def test_unknown_ids_list_valid_ones(self, client):
         with pytest.raises(ServiceError) as excinfo:
@@ -121,9 +131,14 @@ class TestValidation:
         assert "fig2" in errors[0]["message"]
 
     def test_sweep_fields_rejected_on_experiments_job(self, client):
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit_job({"kind": "experiments", "ceas": 32})
-        assert "ceas" in self.field_names(excinfo)
+        for body, field in [
+            ({"kind": "experiments", "ceas": 32}, "ceas"),
+            ({"kind": "experiments", "ids": ["fig2"],
+              "techniques": "nonsense-label"}, "techniques"),
+        ]:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_job(body)
+            assert field in self.field_names(excinfo)
 
     def test_sweep_requires_ceas(self, client):
         with pytest.raises(ServiceError) as excinfo:
@@ -160,10 +175,13 @@ class TestObservability:
                 "failed", "cancelled", "retries_total"} <= set(jobs)
 
     def test_jobs_metric_families(self, client):
-        accepted = client.submit_experiments_job(["fig13"])
+        accepted = client.submit_job({"ids": ["fig13"]})
         client.wait_for_job(accepted["id"], timeout=30)
         text = client.metrics_text()
         assert 'jobs_submitted_total{kind="experiments"}' in text
+        assert 'jobs_budgeted_units_total{kind="experiments"}' in text
+        for kind in ("experiments", "sweep", "optimize", "trace"):
+            assert f'jobs{{kind="{kind}",status="succeeded"}}' in text
         for family in ("jobs_queue_depth", "jobs_running",
                        "jobs_retries_total", "jobs_succeeded_total",
                        "jobs_failed_total", "jobs_cancelled_total",
@@ -188,7 +206,7 @@ class TestQueuedAndCancel:
 
     def test_queued_cancel_and_cancel_idempotence(self, parked):
         client = parked.client()
-        accepted = client.submit_experiments_job(["fig13"])
+        accepted = client.submit_job({"ids": ["fig13"]})
         assert accepted["status"] == "queued"
         assert client.healthz()["jobs"]["queue_depth"] == 1
         cancelled = client.cancel_job(accepted["id"])
@@ -201,7 +219,7 @@ class TestQueuedAndCancel:
     def test_queued_jobs_survive_service_restart(self, parked,
                                                  tmp_path):
         client = parked.client()
-        accepted = client.submit_experiments_job(CHEAP_IDS)
+        accepted = client.submit_job({"ids": CHEAP_IDS})
         assert parked.drain_and_stop()
         # Same state dir, now with workers: the job executes on boot.
         successor = start_service(
@@ -242,7 +260,7 @@ def test_full_registry_job_is_byte_identical_to_goldens(running,
                                                         state_dir):
     """Acceptance: POST /v1/jobs over all 30 experiments reproduces the
     golden artifacts byte-for-byte from the stored chunk checkpoints."""
-    accepted = client.submit_experiments_job()
+    accepted = client.submit_job({})
     assert accepted["progress"]["chunks_total"] == 30
     done = client.wait_for_job(accepted["id"], timeout=300,
                                poll_interval=0.5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.traces import TraceParams, trace_chunk_count
+from repro.traces import TraceParams
 from repro.traces.pipeline import DEFAULT_LINE_COUNTS, DEFAULT_UNITS
 
 
@@ -34,7 +34,7 @@ class TestCreate:
     def test_chunk_is_one_unit(self):
         params = TraceParams.create(source="powerlaw",
                                     units=[0.3, 0.5, 0.7])
-        assert params.chunk_count() == trace_chunk_count(params) == 3
+        assert params.chunk_count() == 3
 
 
 class TestValidation:

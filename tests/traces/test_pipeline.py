@@ -8,10 +8,9 @@ from repro.jobs.executor import (
     chunk_count,
     encode_artifact,
     execute_chunk,
-    plan_chunks,
     serial_artifact,
 )
-from repro.jobs.spec import TRACE_KIND, JobSpec
+from repro.jobs.spec import JobSpec
 from repro.traces import (
     TraceParams,
     assemble_trace_artifact,
@@ -79,12 +78,12 @@ class TestJobsIntegration:
 
     def test_spec_roundtrip(self):
         spec = self.spec()
-        assert spec.kind == TRACE_KIND
+        assert spec.kind == "trace"
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
     def test_spec_requires_resolved_params(self):
-        with pytest.raises(ValueError, match="trace_job"):
-            JobSpec(kind=TRACE_KIND)
+        with pytest.raises(ValueError, match="TraceParams"):
+            JobSpec("trace", {"source": "powerlaw"})
 
     def test_params_or_kwargs_not_both(self):
         params = TraceParams.create(source="powerlaw")
@@ -94,11 +93,12 @@ class TestJobsIntegration:
     def test_one_chunk_per_unit(self):
         spec = self.spec()
         assert chunk_count(spec) == 2
-        assert plan_chunks(spec) == [(0, 1), (1, 2)]
+        assert chunk_count(JobSpec.trace_job(params=spec.params,
+                                             chunk_size=5)) == 2
 
     def test_executor_chunks_assemble_to_serial_artifact(self):
         spec = self.spec()
-        params = TraceParams.from_spec(spec)
+        params = spec.params
         payloads = [execute_chunk(spec, index)
                     for index in range(chunk_count(spec))]
         assert encode_artifact(serial_artifact(spec)) == encode_artifact(

@@ -1,9 +1,10 @@
-"""``/v1/traces`` end-to-end: real server, real workers, real store.
+"""Trace jobs end-to-end: real server, real workers, real store.
 
-Submission over HTTP, completion through the durable-jobs machinery,
-artifact retrieval via both the generic jobs API and the dedicated
-trace endpoint, field-level validation, admission-control access caps,
-and the ``traces_*`` metric families.
+Submission over HTTP (``POST /v1/jobs`` and its ``/v1/traces`` alias),
+completion through the durable-jobs machinery, artifact retrieval via
+both the generic jobs API and the alias, field-level validation,
+admission-control access caps, and the trace series of the ``jobs_*``
+metric families.
 """
 
 import pytest
@@ -34,9 +35,13 @@ def client(running):
     return running.client()
 
 
+def submit(client, **body):
+    return client.submit_job({"kind": "trace", **body})
+
+
 class TestLifecycle:
     def test_submit_complete_and_fetch_artifact(self, client):
-        accepted = client.submit_trace(**FAST)
+        accepted = submit(client, **FAST)
         assert accepted["kind"] == "trace"
         assert accepted["status"] in ("queued", "running")
 
@@ -48,31 +53,42 @@ class TestLifecycle:
         assert result["count"] == 1
         assert result["units"][0]["yavits_fit"]["alpha"] > 0
 
-        via_traces = client.trace_result(accepted["id"])
+        via_traces = client.request_json(
+            "GET", f"/v1/traces/{accepted['id']}")
         assert via_traces["result"] == result
 
+    def test_jobs_route_and_alias_agree(self, client):
+        body = dict(FAST, seed=5)
+        generic = submit(client, **body)
+        alias = client.request_json("POST", "/v1/traces", body)
+        assert alias["kind"] == "trace"
+        assert generic["spec"] == alias["spec"]
+        done = [client.wait_for_job(job["id"], timeout=60)
+                for job in (generic, alias)]
+        assert done[0]["result"] == done[1]["result"]
+
     def test_resubmission_is_deterministic(self, client):
-        first = client.submit_trace(**FAST)
-        second = client.submit_trace(**FAST)
+        first = submit(client, **FAST)
+        second = submit(client, **FAST)
         assert first["id"] != second["id"]
         a = client.wait_for_job(first["id"], timeout=60)
         b = client.wait_for_job(second["id"], timeout=60)
         assert a["result"] == b["result"]
 
     def test_trace_endpoint_rejects_other_kinds(self, client):
-        accepted = client.submit_experiments_job(["fig13"])
+        accepted = client.submit_job({"ids": ["fig13"]})
         client.wait_for_job(accepted["id"], timeout=30)
         with pytest.raises(ServiceError) as excinfo:
-            client.trace_result(accepted["id"])
+            client.request_json("GET", f"/v1/traces/{accepted['id']}")
         assert excinfo.value.status == 404
 
     def test_unknown_trace_job_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client.trace_result("nope")
+            client.request_json("GET", "/v1/traces/nope")
         assert excinfo.value.status == 404
 
     def test_generic_jobs_api_sees_trace_jobs(self, client):
-        accepted = client.submit_trace(**FAST)
+        accepted = submit(client, **FAST)
         record = client.job(accepted["id"])
         assert record["kind"] == "trace"
         client.wait_for_job(accepted["id"], timeout=60)
@@ -86,49 +102,43 @@ class TestValidation:
 
     def test_source_required_and_all_errors_collected(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client.submit_trace(source="oracle", accesses="many",
-                                seed=1.5)  # type: ignore[arg-type]
+            submit(client, source="oracle", accesses="many",
+                   seed=1.5)  # type: ignore[arg-type]
         fields = self.field_names(excinfo)
         assert {"source", "accesses", "seed"} <= fields
 
     def test_file_source_rejected_over_http(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client.submit_trace(source="file", units=["/etc/passwd"])
+            submit(client, source="file", units=["/etc/passwd"])
         assert "source" in self.field_names(excinfo)
 
     def test_bad_units_named(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client.submit_trace(source="powerlaw", units=[0.0, "x"])
+            submit(client, source="powerlaw", units=[0.0, "x"])
         fields = self.field_names(excinfo)
         assert {"units[0]", "units[1]"} <= fields
 
     def test_access_budget_cap_counts_sharing_cores(self, client):
         # 64 cores x 100k accesses/core = 6.4M > the 2M admission cap
         with pytest.raises(ServiceError) as excinfo:
-            client.submit_trace(source="sharing", units=[64])
+            submit(client, source="sharing", units=[64])
         assert "accesses" in self.field_names(excinfo)
 
     def test_line_bytes_must_be_power_of_two(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client.submit_trace(source="powerlaw", line_bytes=48)
+            submit(client, source="powerlaw", line_bytes=48)
         assert "line_bytes" in self.field_names(excinfo)
-
-    def test_trace_kind_rejected_on_generic_jobs_endpoint(self, client):
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit_job({"kind": "trace", "source": "powerlaw"})
-        assert excinfo.value.status == 400
-        assert any("POST /v1/traces" in error["message"]
-                   for error in excinfo.value.field_errors)
 
 
 class TestObservability:
     def test_trace_metric_families_render(self, client):
-        accepted = client.submit_trace(**FAST)
+        accepted = submit(client, **FAST)
         client.wait_for_job(accepted["id"], timeout=60)
         text = client.metrics_text()
-        assert 'traces_jobs_submitted_total{source="powerlaw"}' in text
-        assert "traces_accesses_budgeted_total" in text
-        assert 'traces_jobs{status="succeeded"}' in text
+        assert 'jobs_submitted_total{kind="trace"}' in text
+        assert 'jobs_budgeted_units_total{kind="trace"}' in text
+        assert 'jobs{kind="trace",status="succeeded"}' in text
+        assert "traces_jobs" not in text
 
     def test_healthz_stays_ok_with_trace_jobs(self, client):
         payload = client.healthz()
