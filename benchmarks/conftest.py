@@ -10,21 +10,6 @@ so their benchmarks use a single round.
 import pytest
 
 
-@pytest.fixture(autouse=True)
-def fresh_solve_cache():
-    """Start every benchmark from a cold solve-memo cache.
-
-    The scaling solve is memoized process-wide (repro.core.memo); if one
-    benchmark warmed the cache for the next, the reported times would
-    depend on test ordering.  Within one benchmark, later rounds still
-    hit the warm cache — that *is* the production hot path.
-    """
-    from repro.core import memo
-
-    memo.clear_cache()
-    yield
-
-
 @pytest.fixture
 def bench_once(benchmark):
     """Benchmark an expensive callable with one round, one iteration."""

@@ -1,10 +1,9 @@
-"""Benchmark: the sweep engine's serial path, warm-cache path and
-parallel fan-out over the analytic (sub-millisecond) experiments."""
+"""Benchmark: the sweep engine's serial path, grid layer and parallel
+fan-out over the analytic (sub-millisecond) experiments."""
 
 import pytest
 
 from repro.analysis.export import result_to_json
-from repro.core import memo
 from repro.core.presets import paper_baseline_model
 from repro.experiments.engine import GridPoint, SweepEngine, sweep_grid
 
@@ -30,11 +29,10 @@ def test_bench_engine_parallel(bench_once):
         assert result_to_json(a.result) == result_to_json(b.result)
 
 
-def test_bench_grid_cold_vs_memoized(benchmark):
-    """The memoized grid layer: later rounds measure the warm cache."""
+def test_bench_sweep_grid(benchmark):
+    """The grid layer: every round solves the whole grid."""
     model = paper_baseline_model()
     points = [GridPoint(16.0 + i, traffic_budget=1.0 + 0.01 * i)
               for i in range(200)]
     solutions = benchmark(sweep_grid, model, points)
     assert len(solutions) == len(points)
-    assert memo.cache_stats().size >= len(points)

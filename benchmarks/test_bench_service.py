@@ -6,9 +6,9 @@ soon as the previous response lands).  The benchmark reports the
 end-to-end wall time for the whole run; the assertions pin the serving
 contract under load:
 
-* throughput stays in a sane range (the solve path is memoized and the
-  response cache coalesces identical bodies, so the service must not
-  be bisection-bound);
+* throughput stays in a sane range (the response cache serves and
+  coalesces identical bodies, so the service must not be
+  bisection-bound);
 * the p99 server-side latency, read from the service's own histogram,
   stays below a generous bound — observability and the benchmark agree
   on what was measured;
@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import memo
 from repro.service.app import ServiceConfig, start_service
 
 CLIENT_THREADS = 8
@@ -59,7 +58,6 @@ def closed_loop(handle):
 
 
 def test_bench_service_closed_loop(benchmark, running, bench_once):
-    memo_before = memo.stats_snapshot()
     results = bench_once(closed_loop, running)
 
     total = CLIENT_THREADS * REQUESTS_PER_THREAD
@@ -76,10 +74,7 @@ def test_bench_service_closed_loop(benchmark, running, bench_once):
     assert counted == total
 
     # Coalescing bound: all those requests cost at most one bisection
-    # per distinct scenario (memo misses = actual solves).
-    memo_delta = memo.stats_snapshot().misses - memo_before.misses
-    assert memo_delta <= DISTINCT_SCENARIOS
-
+    # per distinct scenario (response cache misses = actual solves).
     cache_stats = service.response_cache.stats()
     assert cache_stats.misses <= DISTINCT_SCENARIOS
     assert cache_stats.hits + cache_stats.coalesced >= \
@@ -94,7 +89,7 @@ def test_bench_service_closed_loop(benchmark, running, bench_once):
 
     # Derived throughput, reported for the benchmark log.  The bound is
     # deliberately loose: even slow CI machines serve hundreds of
-    # memoized requests per second.  Under --benchmark-disable there is
+    # cached requests per second.  Under --benchmark-disable there is
     # no timing record, so the assertions above are the whole check.
     if benchmark.stats is None:
         return

@@ -10,7 +10,7 @@ benchmark suite.
 
 import time
 
-from repro.core import memo, vectorized
+from repro.core import vectorized
 from repro.core.area import ChipDesign
 from repro.core.scaling import BandwidthWallModel
 from repro.core.techniques import NEUTRAL_EFFECT
@@ -30,15 +30,14 @@ def test_bench_batch_solve(benchmark, bench_once):
     model = BandwidthWallModel(ChipDesign(16, 8), alpha=0.5)
     queries = build_queries()
 
-    with memo.disabled():
-        # Warm numpy, then time the scalar reference inline (the
-        # benchmark fixture times the batch kernel).
-        vectorized.solve_batch(model, queries[:32])
-        start = time.perf_counter()
-        scalar = [model.solve_point(*query) for query in queries]
-        scalar_elapsed = time.perf_counter() - start
+    # Warm numpy, then time the scalar reference inline (the benchmark
+    # fixture times the batch kernel).
+    vectorized.solve_batch(model, queries[:32])
+    start = time.perf_counter()
+    scalar = [model.solve_point(*query) for query in queries]
+    scalar_elapsed = time.perf_counter() - start
 
-        batch = bench_once(vectorized.solve_batch, model, queries)
+    batch = bench_once(vectorized.solve_batch, model, queries)
 
     # Identity holds on the benchmark grid too.
     assert [s.continuous_cores for s in batch] \

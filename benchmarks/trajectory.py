@@ -9,7 +9,7 @@ performance story over time:
   hardware stay comparable.
 * **solver** — scalar vs vectorized solves/sec on the fig-1 sweep grid
   (a dense die x budget grid swept across Figure 1's fitted alphas,
-  0.25–0.62), memo disabled.  The headline number is the speedup.
+  0.25–0.62).  The headline number is the speedup.
 * **sweeps** — end-to-end wall time of representative experiment ids
   (fig1, fig9, ext-validation) through the serial engine path.
 * **service** — closed-loop throughput and server-side p99 of the
@@ -34,7 +34,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/trajectory.py --output new.json
     PYTHONPATH=src python benchmarks/trajectory.py \\
-        --gate new.json --against BENCH_10.json --threshold 0.15
+        --gate new.json --against BENCH_11.json --threshold 0.15
 
 When ``--against`` names a file that does not exist yet the gate is
 skipped with a note instead of failing — the first run on a branch has
@@ -106,7 +106,6 @@ def _fig1_grid():
 def _scalar_rate(best_of: int = 5) -> float:
     """Scalar solves/sec on a small fixed grid — the machine-speed
     proxy every ``normalized_work`` metric divides through."""
-    from repro.core import memo
     from repro.core.area import ChipDesign
     from repro.core.scaling import BandwidthWallModel
     from repro.core.techniques import NEUTRAL_EFFECT
@@ -114,15 +113,14 @@ def _scalar_rate(best_of: int = 5) -> float:
     model = BandwidthWallModel(ChipDesign(16, 8), alpha=0.5)
     queries = [(16.0 + i, 0.5 + 0.01 * i, NEUTRAL_EFFECT)
                for i in range(500)]
-    with memo.disabled():
-        for query in queries[:50]:  # warm-up
+    for query in queries[:50]:  # warm-up
+        model.solve_point(*query)
+    elapsed = math.inf
+    for _ in range(best_of):
+        start = time.perf_counter()
+        for query in queries:
             model.solve_point(*query)
-        elapsed = math.inf
-        for _ in range(best_of):
-            start = time.perf_counter()
-            for query in queries:
-                model.solve_point(*query)
-            elapsed = min(elapsed, time.perf_counter() - start)
+        elapsed = min(elapsed, time.perf_counter() - start)
     return len(queries) / elapsed
 
 
@@ -160,24 +158,23 @@ def measure_solver() -> Dict[str, Any]:
     in its own block lets the ratio follow host speed (see
     :func:`_rounds`).
     """
-    from repro.core import memo, vectorized
+    from repro.core import vectorized
 
     pairs = _fig1_grid()
     total = sum(len(queries) for _, queries in pairs)
     scalar, batch = [], []
-    with memo.disabled():
-        # Warm numpy (BLAS/eigvals init) outside the timed region.
-        vectorized.solve_batch(pairs[0][0], pairs[0][1][:32])
-        for _ in range(ROUNDS):
-            start = time.perf_counter()
-            for model, queries in pairs:
-                for query in queries:
-                    model.solve_point(*query)
-            scalar.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            for model, queries in pairs:
-                vectorized.solve_batch(model, queries)
-            batch.append(time.perf_counter() - start)
+    # Warm numpy (BLAS/eigvals init) outside the timed region.
+    vectorized.solve_batch(pairs[0][0], pairs[0][1][:32])
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        for model, queries in pairs:
+            for query in queries:
+                model.solve_point(*query)
+        scalar.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        for model, queries in pairs:
+            vectorized.solve_batch(model, queries)
+        batch.append(time.perf_counter() - start)
 
     return {
         "grid_points": total,
@@ -193,14 +190,12 @@ def _sweep_seconds(experiment_id: str) -> float:
     """Serial engine time of one id: one pass, or for sub-millisecond
     sweeps (fig9), which drown in scheduler noise, the best of as many
     passes as fit in 0.1 s."""
-    from repro.core import memo
     from repro.experiments.engine import SweepEngine
 
     elapsed = math.inf
     spent = 0.0
     repeats = 0
     while repeats < 1 or (spent < 0.1 and repeats < 1000):
-        memo.clear_cache()
         start = time.perf_counter()
         SweepEngine(max_workers=1).run([experiment_id])
         once = time.perf_counter() - start
@@ -233,14 +228,12 @@ def measure_service() -> Dict[str, Any]:
     """Closed-loop throughput/p99 — the PR-2 load harness shape."""
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.core import memo
     from repro.service.app import ServiceConfig, start_service
 
     threads = 8
     per_thread = 25
     distinct = 10
 
-    memo.clear_cache()
     handle = start_service(
         ServiceConfig(workers=threads, cache_ttl=300.0), port=0
     )
@@ -320,7 +313,6 @@ def measure_optimize() -> Dict[str, Any]:
     around the search, as ``sweeps`` does, so that it compares across
     hosts and host-speed drift.
     """
-    from repro.core import memo
     from repro.optimize import OptimizeParams, SearchSpace, run_search
 
     space = SearchSpace.build({
@@ -333,13 +325,11 @@ def measure_optimize() -> Dict[str, Any]:
         space=space, ceas=256.0, budget=4.0, alpha=0.5,
         strategy="exhaustive",
     )
-    memo.clear_cache()
     artifact = run_search(params)  # warm-up: imports, numpy init
 
     def search_seconds() -> float:
         elapsed = math.inf
         for _ in range(3):  # best-of-3: a CPU-steal burst mid-search halves the rate
-            memo.clear_cache()
             start = time.perf_counter()
             run_search(params)
             elapsed = min(elapsed, time.perf_counter() - start)

@@ -6,7 +6,6 @@ from .calibration import (
     measure_miss_curve,
     measure_sharing_fraction,
     sharing_vs_cores,
-    simulate_miss_curve,
 )
 from .export import figure_to_csv, figure_to_json, write_figure
 from .report import generate_report, write_report
@@ -20,7 +19,6 @@ __all__ = [
     "fit_power_law",
     "fit_miss_curve",
     "measure_miss_curve",
-    "simulate_miss_curve",
     "WorkloadCalibration",
     "calibrate_workload",
     "measure_sharing_fraction",

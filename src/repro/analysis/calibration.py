@@ -21,7 +21,6 @@ from .fitting import PowerLawFit, fit_miss_curve
 
 __all__ = [
     "measure_miss_curve",
-    "simulate_miss_curve",
     "WorkloadCalibration",
     "calibrate_workload",
     "measure_sharing_fraction",
@@ -46,8 +45,9 @@ def measure_miss_curve(
     path — or any iterable of accesses.
 
     Exact for fully-associative LRU caches; the paper's power-law fits
-    are capacity-driven, so this is the measurement of record (the
-    set-associative simulator cross-checks it in the tests).
+    are capacity-driven, so this is the measurement of record
+    (:func:`repro.traces.simulate.cross_check_curve` cross-checks it
+    against set-associative caches in the tests).
 
     Short synthetic runs need *stationary* measurement to fit alpha
     faithfully: pass the generator's ``warmup_accesses()`` as
@@ -61,34 +61,6 @@ def measure_miss_curve(
         profiler.reset_statistics()
     profiler.record_stream(stream, line_bytes=line_bytes)
     return profiler.miss_curve(cache_line_counts, exclude_cold=exclude_cold)
-
-
-def simulate_miss_curve(
-    stream_factory,
-    cache_sizes_bytes: Sequence[int],
-    line_bytes: int = _DEFAULT_LINE_BYTES,
-    associativity: int = 8,
-) -> MissCurve:
-    """Miss rates via the set-associative simulator, one run per size.
-
-    ``stream_factory()`` must return a fresh, identical stream each call.
-    Slower than :func:`measure_miss_curve` but exercises a realistic
-    cache organisation (finite associativity, set conflicts).
-    """
-    line_counts = []
-    rates = []
-    for size in sorted(set(cache_sizes_bytes)):
-        cache = SetAssociativeCache(
-            size_bytes=size,
-            line_bytes=line_bytes,
-            associativity=associativity,
-        )
-        for access in stream_factory():
-            cache.access(access.address, is_write=access.is_write,
-                         core_id=access.core_id)
-        line_counts.append(size // line_bytes)
-        rates.append(cache.stats.miss_rate)
-    return MissCurve(tuple(line_counts), tuple(rates))
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timing", action="store_true",
-        help="report per-experiment wall time and solve-cache hit rate",
+        help="report per-experiment wall time",
     )
     parser.add_argument("--host", default="127.0.0.1",
                         help="[serve] bind address (default 127.0.0.1)")
@@ -653,17 +653,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if args.timing:
-            from .core.memo import stats_snapshot
-
-            before = stats_snapshot()
             started = time.perf_counter()
             print_experiment(target)
             elapsed = time.perf_counter() - started
-            after = stats_snapshot()
-            hits = after.hits - before.hits
-            lookups = after.lookups - before.lookups
-            print(f"\n[{target}: {elapsed:.2f}s; solve cache: "
-                  f"{hits}/{lookups} hits, {after.size} entries]")
+            print(f"\n[{target}: {elapsed:.2f}s]")
         else:
             print_experiment(target)
     except KeyError as error:
@@ -699,20 +692,8 @@ def _run_all(args: argparse.Namespace) -> int:
                 else "serial")
         print(f"\n{'-' * 72}\ntiming ({mode}):")
         for run in sweep.runs:
-            print(f"  {run.experiment_id:<16} {run.elapsed:>8.2f}s   "
-                  f"solve cache {run.cache_hits}/"
-                  f"{run.cache_hits + run.cache_misses} hits")
-        print(f"  {'total wall':<16} {sweep.elapsed:>8.2f}s   "
-              f"solve cache hit rate {sweep.cache_hit_rate:.1%} "
-              f"({sweep.cache_hits}/"
-              f"{sweep.cache_hits + sweep.cache_misses})")
-        if not sweep.parallel:
-            from .core.memo import stats_snapshot
-
-            snap = stats_snapshot()
-            print(f"  {'solve memo':<16} {snap.hits}/{snap.lookups} "
-                  f"lookups hit ({snap.hit_rate:.1%}), "
-                  f"{snap.size} entries")
+            print(f"  {run.experiment_id:<16} {run.elapsed:>8.2f}s")
+        print(f"  {'total wall':<16} {sweep.elapsed:>8.2f}s")
     return 0
 
 

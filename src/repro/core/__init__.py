@@ -30,7 +30,6 @@ from .heterogeneous import (
     HeterogeneousWallModel,
     MixSolution,
 )
-from .memo import CacheStats, MemoCache, ModelKey
 from .multithreading import MultithreadedWallModel, SMTParameters
 from .roadmap import (
     FLAT_ROADMAP,
@@ -121,9 +120,6 @@ __all__ = [
     "solve_increasing",
     "floor_cores",
     "BracketError",
-    "ModelKey",
-    "MemoCache",
-    "CacheStats",
     # extensions (the paper's acknowledged limitations, modelled)
     "symmetric_speedup",
     "asymmetric_speedup",

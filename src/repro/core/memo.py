@@ -1,44 +1,25 @@
-"""Memoized evaluation of the bandwidth-wall solve.
+"""A bounded memo table for bandwidth-wall solves, unused by the program.
 
-Every paper artifact is a sweep over ``(die CEAs, alpha, budget,
-technique)`` grids built on the same power-law model, so the figure
-drivers repeat identical :meth:`BandwidthWallModel.supportable_cores`
-solves thousands of times (every sweep re-solves the baseline point,
-the four-generation studies share their grids, ...).  The solve is a
-pure function of a small, fully-hashable key:
+A solve is a pure function of a small, fully-hashable key
+(:class:`ModelKey`: the frozen baseline :class:`ChipDesign`, alpha,
+die size, budget and frozen :class:`TechniqueEffect`), and its result
+is a frozen :class:`ScalingSolution`, so the two could be cached and
+shared freely.  The solve path no longer does: one solve is a guarded
+bisection of tens of microseconds, and a process-global memo in front
+of it cost about as much as it saved.
 
-* the model is a frozen dataclass (``baseline`` :class:`ChipDesign` +
-  ``alpha``),
-* the query is ``(total_ceas, traffic_budget)`` plus a frozen
-  :class:`TechniqueEffect`,
-
-so the result — a frozen :class:`ScalingSolution` — can be cached and
-shared freely.  :class:`MemoCache` is that cache;
-:mod:`repro.core.scaling` consults the process-global instance on every
-solve, and the sweep engine (:mod:`repro.experiments.engine`) reports
-its hit rate.
-
-The memoization contract
-------------------------
-A cache entry is keyed by **every** input that can influence the solve
-(:class:`ModelKey`), all of them immutable value types, and the cached
-value is itself immutable, so sharing one instance between callers is
-safe.  Entries never go stale: the solve depends on nothing but its
-key (no I/O, no global configuration).  The cache is per-process —
-parallel sweep workers each warm their own — and bounded (FIFO
-eviction) so long-lived services cannot leak memory.  Disable it with
-:func:`configure` or the :func:`disabled` context manager when timing
-the raw solver.
+:class:`MemoCache` stays only because the dormant shared tier
+(:mod:`repro.scaleout.shared_cache`) subclasses it and wallbench's span
+wrappers name its lookups; it leaves with the tier.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
-    Tuple, TYPE_CHECKING
+from typing import Iterable, List, Optional, Sequence, Tuple, \
+    TYPE_CHECKING
 
 from .area import ChipDesign
 from .techniques import TechniqueEffect
@@ -49,21 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = [
     "ModelKey",
     "CacheStats",
-    "MemoSnapshot",
     "MemoCache",
-    "global_cache",
-    "active_cache",
-    "cache_stats",
-    "stats_snapshot",
-    "clear_cache",
-    "configure",
-    "disabled",
-    "install_cache",
+    "DEFAULT_MAXSIZE",
 ]
 
-#: Default bound on the process-global cache.  Design-space sweeps touch
-#: tens of thousands of distinct points; one entry is a few hundred
-#: bytes, so the default caps memory at tens of MB.
+#: Default bound on one cache.  One entry is a few hundred bytes, so
+#: the default caps memory at tens of MB.
 DEFAULT_MAXSIZE = 100_000
 
 
@@ -106,44 +78,6 @@ class CacheStats:
             misses=self.misses - earlier.misses,
             size=self.size,
         )
-
-
-@dataclass(frozen=True)
-class MemoSnapshot:
-    """A public, point-in-time view of one memo cache's state.
-
-    Unlike :class:`CacheStats` (which only carries counters), a snapshot
-    also records the cache's configuration, so observability layers (CLI
-    ``--timing``, the service's ``/metrics`` endpoint) never need to
-    reach into private fields.
-    """
-
-    hits: int
-    misses: int
-    size: int
-    maxsize: int
-    enabled: bool
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat form for JSON payloads and metric exposition."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "lookups": self.lookups,
-            "hit_rate": self.hit_rate,
-            "size": self.size,
-            "maxsize": self.maxsize,
-            "enabled": self.enabled,
-        }
 
 
 class MemoCache:
@@ -216,22 +150,6 @@ class MemoCache:
         with self._lock:
             return CacheStats(self._hits, self._misses, len(self._entries))
 
-    def stats_snapshot(self, *, enabled: bool = True) -> MemoSnapshot:
-        """Atomic counters-plus-configuration snapshot (thread-safe).
-
-        ``enabled`` is the caller's view of whether lookups currently
-        route through this cache; the module-level
-        :func:`stats_snapshot` fills it in for the global instance.
-        """
-        with self._lock:
-            return MemoSnapshot(
-                hits=self._hits,
-                misses=self._misses,
-                size=len(self._entries),
-                maxsize=self.maxsize,
-                enabled=enabled,
-            )
-
     def clear(self) -> None:
         """Drop all entries and reset the hit/miss counters."""
         with self._lock:
@@ -242,69 +160,3 @@ class MemoCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-
-_GLOBAL_CACHE = MemoCache()
-_ENABLED = True
-
-
-def global_cache() -> MemoCache:
-    """The process-global cache (also valid while memoization is off)."""
-    return _GLOBAL_CACHE
-
-
-def active_cache() -> Optional[MemoCache]:
-    """The cache the solve path should consult, or None when disabled."""
-    return _GLOBAL_CACHE if _ENABLED else None
-
-
-def cache_stats() -> CacheStats:
-    """Snapshot of the global cache's counters."""
-    return _GLOBAL_CACHE.stats()
-
-
-def stats_snapshot() -> MemoSnapshot:
-    """Public, thread-safe snapshot of the global solve memo.
-
-    The supported way for observability consumers (CLI ``--timing``,
-    the service's ``/metrics``) to read hit/miss/size without touching
-    private state.
-    """
-    return _GLOBAL_CACHE.stats_snapshot(enabled=_ENABLED)
-
-
-def clear_cache() -> None:
-    """Empty the global cache and reset its counters."""
-    _GLOBAL_CACHE.clear()
-
-
-def configure(*, enabled: bool) -> None:
-    """Globally enable or disable memoized solving."""
-    global _ENABLED
-    _ENABLED = enabled
-
-
-def install_cache(cache: MemoCache) -> MemoCache:
-    """Swap the process-global memo for ``cache``; returns the previous.
-
-    Anything honouring the :class:`MemoCache` interface qualifies.
-    Callers restore the returned instance on shutdown.  Nothing in the
-    program calls it; it goes together with
-    :mod:`repro.scaleout.shared_cache`.
-    """
-    global _GLOBAL_CACHE
-    previous = _GLOBAL_CACHE
-    _GLOBAL_CACHE = cache
-    return previous
-
-
-@contextlib.contextmanager
-def disabled() -> Iterator[None]:
-    """Temporarily bypass the cache (e.g. to time the raw solver)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous

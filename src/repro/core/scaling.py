@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
-from . import memo
 from .area import ChipDesign
 from .solver import BracketError, floor_cores, solve_increasing
 from .techniques import NEUTRAL_EFFECT, TechniqueEffect
@@ -135,12 +134,42 @@ class BandwidthWallModel:
         """
         if cores <= 0:
             raise ValueError(f"cores must be positive, got {cores}")
-        s2 = effect.effective_cache_ceas(total_ceas, cores) / cores
-        if s2 <= 0:
-            return math.inf
+        return self.traffic_curve(total_ceas, effect)(cores)
+
+    def traffic_curve(
+        self,
+        total_ceas: float,
+        effect: TechniqueEffect = NEUTRAL_EFFECT,
+    ) -> Callable[[float], float]:
+        """``cores -> relative_traffic(total_ceas, cores, effect)``, with
+        the terms that do not depend on ``cores`` read once for the ~50
+        evaluations of a bisection.  Operation for operation the
+        arithmetic of :meth:`TechniqueEffect.effective_cache_ceas` and
+        Equation 5, so every value rounds the same; ``cores`` > 0.
+        """
+        f = effect.core_area_fraction
+        d = effect.on_die_density
+        stacked = (effect.stacked_layers * effect.resolved_stacked_density
+                   * total_ceas)
+        cf = effect.capacity_factor
+        tf = effect.traffic_factor
         p1 = self.baseline.num_cores
         s1 = self.baseline.cache_per_core
-        return (cores / p1) * (s2 / s1) ** (-self.alpha) / effect.traffic_factor
+        neg_alpha = -self.alpha
+
+        def traffic(cores: float) -> float:
+            die_cache = total_ceas - f * cores
+            if die_cache < 0:
+                raise ValueError(
+                    f"{cores} cores of size {f} CEA do not fit on a "
+                    f"{total_ceas}-CEA die"
+                )
+            s2 = cf * (d * die_cache + stacked) / cores
+            if s2 <= 0:
+                return math.inf
+            return (cores / p1) * (s2 / s1) ** neg_alpha / tf
+
+        return traffic
 
     # ------------------------------------------------------------------
     # The central solve
@@ -165,33 +194,16 @@ class BandwidthWallModel:
         effect:
             Combined effect of any bandwidth-conservation techniques.
         """
-        self.validate_query(total_ceas, traffic_budget)
-
-        # The solve is a pure function of this fully-immutable key, so a
-        # process-global memo table (see repro.core.memo) can serve
-        # repeated grid points without re-running the bisection.
-        cache = memo.active_cache()
-        key: Optional[memo.ModelKey] = None
-        if cache is not None:
-            key = self._memo_key(total_ceas, traffic_budget, effect)
-            cached = cache.lookup(key)
-            if cached is not None:
-                return cached
-
         from . import vectorized
 
         if vectorized.mode() == "force":
             # The differential test mode: even single solves run through
             # the batch kernel, proving it byte-identical on every code
             # path that reaches supportable_cores.
-            solution = vectorized.solve_batch(
+            return vectorized.solve_batch(
                 self, [(total_ceas, traffic_budget, effect)]
             )[0]
-        else:
-            solution = self.solve_point(total_ceas, traffic_budget, effect)
-        if cache is not None and key is not None:
-            cache.store(key, solution)
-        return solution
+        return self.solve_point(total_ceas, traffic_budget, effect)
 
     def supportable_cores_batch(
         self,
@@ -201,39 +213,19 @@ class BandwidthWallModel:
 
         Semantically identical — bit-for-bit, including exceptions — to
         calling :meth:`supportable_cores` once per query in order, but
-        memo lookups and stores happen in bulk and cache misses are
         solved together through the vectorized batch kernel
-        (:mod:`repro.core.vectorized`) when numpy is available and the
-        miss count warrants it.  The sweep engine, the service's
-        ``/v1/sweep`` and the jobs executor all funnel their grids
-        through here.
+        (:mod:`repro.core.vectorized`) when the batch is large enough
+        to pay for it.  The sweep engine, the service's ``/v1/sweep``
+        and the jobs executor all funnel their grids through here.
         """
         from . import vectorized
 
         queries = list(queries)
         for total_ceas, traffic_budget, _ in queries:
             self.validate_query(total_ceas, traffic_budget)
-        cache = memo.active_cache()
-        if cache is None:
-            if vectorized.use_batch(len(queries)):
-                return vectorized.solve_batch(self, queries)
-            return [self.solve_point(*query) for query in queries]
-        keys = [self._memo_key(*query) for query in queries]
-        solutions = cache.lookup_many(keys)
-        miss_indices = [i for i, hit in enumerate(solutions) if hit is None]
-        if miss_indices:
-            misses = [queries[i] for i in miss_indices]
-            if vectorized.use_batch(len(misses)):
-                solved = vectorized.solve_batch(self, misses)
-            else:
-                solved = [self.solve_point(*query) for query in misses]
-            cache.store_many(
-                (keys[i], solution)
-                for i, solution in zip(miss_indices, solved)
-            )
-            for i, solution in zip(miss_indices, solved):
-                solutions[i] = solution
-        return solutions
+        if vectorized.use_batch(len(queries)):
+            return vectorized.solve_batch(self, queries)
+        return [self.solve_point(*query) for query in queries]
 
     # -- solve internals (shared with repro.core.vectorized) -----------
 
@@ -246,37 +238,20 @@ class BandwidthWallModel:
                 f"traffic_budget must be positive, got {traffic_budget}"
             )
 
-    def _memo_key(
-        self,
-        total_ceas: float,
-        traffic_budget: float,
-        effect: TechniqueEffect,
-    ) -> memo.ModelKey:
-        return memo.ModelKey(
-            baseline=self.baseline,
-            alpha=self.alpha,
-            total_ceas=total_ceas,
-            traffic_budget=traffic_budget,
-            effect=effect,
-        )
-
     def solve_point(
         self,
         total_ceas: float,
         traffic_budget: float,
         effect: TechniqueEffect = NEUTRAL_EFFECT,
     ) -> ScalingSolution:
-        """One bisection solve, bypassing memo and batch dispatch.
+        """One bisection solve, bypassing batch dispatch.
 
         The scalar reference path: the vectorized kernel replays its
         arithmetic and delegates its own guard failures here.
         """
         self.validate_query(total_ceas, traffic_budget)
         max_cores = total_ceas / effect.core_area_fraction
-
-        def traffic(p2: float) -> float:
-            return self.relative_traffic(total_ceas, p2, effect)
-
+        traffic = self.traffic_curve(total_ceas, effect)
         try:
             p2 = solve_increasing(traffic, traffic_budget, 0.0, max_cores)
             area_limited = False

@@ -7,8 +7,7 @@ support?  The CLI's ``solve`` command and the serving subsystem
 (:mod:`repro.service`) both answer it through this module, so a solve
 over HTTP is byte-identical to the same solve on a terminal: the
 rendered text comes from :func:`render_scenario` in both cases, and the
-numbers come from one :func:`solve_scenario` call through the memoized
-solve path.
+numbers come from one :func:`solve_scenario` call.
 
 Technique specs use the CLI's ``LABEL[=VALUE]`` grammar (``DRAM=8``,
 ``CC/LC=2``, bare ``3D`` for the default parameter); see
@@ -118,7 +117,7 @@ class ScenarioOutcome:
 
 
 def solve_scenario(request: ScenarioRequest) -> ScenarioOutcome:
-    """Solve one scenario through the memoized bandwidth-wall model.
+    """Solve one scenario through the bandwidth-wall model.
 
     Raises :class:`ValueError` on bad technique specs, structural
     technique conflicts, or out-of-range alpha/ceas/budget — the same

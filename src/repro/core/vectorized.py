@@ -392,9 +392,9 @@ def solve_batch(
     :meth:`BandwidthWallModel.supportable_cores` once per query, with
     bit-identical results and exceptions: invalid queries raise the same
     ``ValueError``; unsolvable ones the same :class:`BracketError`
-    (always for the earliest offending query index).  Does **not**
-    consult the solve memo — callers that want memoization go through
-    :meth:`BandwidthWallModel.supportable_cores_batch`.
+    (always for the earliest offending query index).
+    :meth:`BandwidthWallModel.supportable_cores_batch` calls it for
+    batches large enough to pay for the kernel.
 
     In ``off`` mode every query runs through the scalar path unchanged.
     """

@@ -1,4 +1,4 @@
-"""Parallel sweep engine with memoized evaluation.
+"""Parallel sweep engine.
 
 Every paper artifact is independent of every other, and the two
 simulation-backed ones (Figure 1, Ext-Validation) decompose further
@@ -25,14 +25,6 @@ An experiment module may expose four extra callables::
 shard_keys()})`` — the serial path runs the very same code, which is
 what makes parallel results identical by construction.
 
-Worker-side memoization
------------------------
-Each worker process owns the process-global solve cache
-(:mod:`repro.core.memo`) and keeps it warm across the tasks it
-executes; the engine collects per-task hit/miss deltas and aggregates
-them into :class:`SweepResult`, which the CLI reports via
-``bandwidth-wall all --timing``.
-
 Fallback
 --------
 ``max_workers=1`` (the default for :func:`repro.experiments.runner.
@@ -52,7 +44,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core import memo
 from ..core.scaling import BandwidthWallModel, ScalingSolution
 from ..core.techniques import NEUTRAL_EFFECT, TechniqueEffect
 from ..resilience.deadline import check_deadline
@@ -152,13 +143,11 @@ def sweep_grid(
     *,
     max_workers: int = 1,
 ) -> List[ScalingSolution]:
-    """Evaluate a grid in order, through the memoized solve path.
+    """Evaluate a grid in order.
 
     Results are returned in grid-index order regardless of worker
-    scheduling.  Each solve goes through the process-global memo cache,
-    so duplicated points cost one bisection total.  Parallel evaluation
-    only pays off for very large grids — single solves are ~10µs — so
-    the default is serial.
+    scheduling.  Parallel evaluation only pays off for very large
+    grids — single solves are ~10µs — so the default is serial.
     """
     points = list(points)
     if max_workers <= 1 or len(points) < 4 * max_workers:
@@ -186,22 +175,13 @@ class ExperimentRun:
     """One experiment's outcome within a sweep.
 
     ``elapsed`` is the total worker time spent on the experiment (for a
-    sharded experiment, the sum over its shards plus the merge);
-    ``cache_hits``/``cache_misses`` are the solve-cache deltas the
-    experiment's tasks observed in their worker processes.
+    sharded experiment, the sum over its shards plus the merge).
     """
 
     experiment_id: str
     result: Any = None
     report: Optional[str] = None
     elapsed: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
 
 
 @dataclass
@@ -218,19 +198,6 @@ class SweepResult:
         """Experiment id -> result object, in submission order."""
         return {run.experiment_id: run.result for run in self.runs}
 
-    @property
-    def cache_hits(self) -> int:
-        return sum(run.cache_hits for run in self.runs)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(run.cache_misses for run in self.runs)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
 
 def _is_sharded(module: Any) -> bool:
     return all(
@@ -239,45 +206,21 @@ def _is_sharded(module: Any) -> bool:
     )
 
 
-@dataclass
-class _TaskOutput:
-    """What a worker sends back for one task (picklable)."""
+def _task(experiment_id: str, shard_key: Optional[str] = None,
+          reports: bool = False) -> Tuple[Any, float]:
+    """One worker task and its wall seconds: a shard's piece, the
+    printed paper-style report, or the experiment's result object."""
+    from .runner import experiment_module, experiment_report, \
+        run_experiment
 
-    payload: Any
-    elapsed: float
-    cache_hits: int
-    cache_misses: int
-
-
-def _timed(func: Callable[[], Any]) -> _TaskOutput:
-    before = memo.cache_stats()
     started = time.perf_counter()
-    payload = func()
-    elapsed = time.perf_counter() - started
-    delta = memo.cache_stats().since(before)
-    return _TaskOutput(payload, elapsed, delta.hits, delta.misses)
-
-
-def _worker_run(experiment_id: str) -> _TaskOutput:
-    """Whole-experiment task: compute the result object."""
-    from .runner import run_experiment
-
-    return _timed(lambda: run_experiment(experiment_id))
-
-
-def _worker_report(experiment_id: str) -> _TaskOutput:
-    """Whole-experiment task: capture the printed paper-style report."""
-    from .runner import experiment_report
-
-    return _timed(lambda: experiment_report(experiment_id))
-
-
-def _worker_shard(experiment_id: str, shard_key: str) -> _TaskOutput:
-    """Shard task: compute one independent piece of an experiment."""
-    from .runner import experiment_module
-
-    module = experiment_module(experiment_id)
-    return _timed(lambda: module.run_shard(shard_key))
+    if shard_key is not None:
+        payload = experiment_module(experiment_id).run_shard(shard_key)
+    elif reports:
+        payload = experiment_report(experiment_id)
+    else:
+        payload = run_experiment(experiment_id)
+    return payload, time.perf_counter() - started
 
 
 class SweepEngine:
@@ -392,14 +335,12 @@ class SweepEngine:
         runs = []
         for key in keys:
             check_deadline(f"experiment {key}")
-            output = (_worker_report(key) if reports else _worker_run(key))
+            payload, elapsed = _task(key, reports=reports)
             run = ExperimentRun(
                 experiment_id=key,
-                result=None if reports else output.payload,
-                report=output.payload if reports else None,
-                elapsed=output.elapsed,
-                cache_hits=output.cache_hits,
-                cache_misses=output.cache_misses,
+                result=None if reports else payload,
+                report=payload if reports else None,
+                elapsed=elapsed,
             )
             runs.append(run)
             if on_run is not None:
@@ -431,16 +372,15 @@ class SweepEngine:
 
         with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
             future_meta = {}
-            shard_outputs: Dict[int, Dict[str, _TaskOutput]] = {}
+            shard_outputs: Dict[int, Dict[str, Tuple[Any, float]]] = {}
             for index, key in enumerate(keys):
                 if index in shard_plans:
                     shard_outputs[index] = {}
                     for shard_key in shard_plans[index]:
-                        future = pool.submit(_worker_shard, key, shard_key)
+                        future = pool.submit(_task, key, shard_key)
                         future_meta[future] = (index, shard_key)
                 else:
-                    worker = _worker_report if reports else _worker_run
-                    future = pool.submit(worker, key)
+                    future = pool.submit(_task, key, reports=reports)
                     future_meta[future] = (index, None)
 
             pending = set(future_meta)
@@ -451,13 +391,12 @@ class SweepEngine:
                     output = future.result()
                     key = keys[index]
                     if shard_key is None:
+                        payload, elapsed = output
                         completed[index] = ExperimentRun(
                             experiment_id=key,
-                            result=None if reports else output.payload,
-                            report=output.payload if reports else None,
-                            elapsed=output.elapsed,
-                            cache_hits=output.cache_hits,
-                            cache_misses=output.cache_misses,
+                            result=None if reports else payload,
+                            report=payload if reports else None,
+                            elapsed=elapsed,
                         )
                         flush()
                         continue
@@ -477,16 +416,17 @@ class SweepEngine:
     def _merge_experiment(
         key: str,
         shard_keys: Sequence[str],
-        outputs: Dict[str, _TaskOutput],
+        outputs: Dict[str, Tuple[Any, float]],
         reports: bool,
     ) -> ExperimentRun:
         """Parent-side merge of one sharded experiment, in shard order."""
         from .runner import experiment_module
 
         module = experiment_module(key)
-        ordered = {sk: outputs[sk].payload for sk in shard_keys}
-        merge_output = _timed(lambda: module.merge_shards(ordered))
-        result = merge_output.payload
+        ordered = {sk: outputs[sk][0] for sk in shard_keys}
+        started = time.perf_counter()
+        result = module.merge_shards(ordered)
+        merge_elapsed = time.perf_counter() - started
         report = None
         if reports:
             buffer = io.StringIO()
@@ -497,13 +437,7 @@ class SweepEngine:
             experiment_id=key,
             result=result,
             report=report,
-            elapsed=merge_output.elapsed + sum(
-                outputs[sk].elapsed for sk in shard_keys
-            ),
-            cache_hits=merge_output.cache_hits + sum(
-                outputs[sk].cache_hits for sk in shard_keys
-            ),
-            cache_misses=merge_output.cache_misses + sum(
-                outputs[sk].cache_misses for sk in shard_keys
+            elapsed=merge_elapsed + sum(
+                outputs[sk][1] for sk in shard_keys
             ),
         )

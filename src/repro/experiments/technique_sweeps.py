@@ -50,8 +50,7 @@ def sweep_technique(
 
     The whole grid — baseline point, one point per parameter value, and
     the three Table 2 assumption levels — is evaluated in one ordered
-    pass through the engine's memoized grid layer, so repeated points
-    (across this sweep and across experiments) solve only once.
+    pass through the engine's grid layer.
     """
     model = baseline_model(alpha)
     grid = [GridPoint(total_ceas)]

@@ -9,7 +9,9 @@ Everything here is a pure, deterministic function of a
   so a resumed job continues the very sequence the crashed worker was
   executing.
 * :func:`execute_chunk` — one chunk's JSON-ready payload, computed
-  through the same engine paths the CLI and service use.
+  through the same engine paths the CLI and service use, handed the
+  previous chunk's payload as read back from JSON (an evolutionary
+  search continues from it; :func:`serial_artifact` round-trips it too).
 * :func:`assemble_artifact` — the final result from the ordered chunk
   payloads.  Experiment entries use the exact golden encoding
   (``{"experiment_id", "schema", "result"}`` with
@@ -26,7 +28,7 @@ render, exactly as it does for ``/v1/experiments``.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from .spec import JobSpec
 
@@ -44,10 +46,14 @@ def chunk_count(spec: JobSpec) -> int:
     return spec.params.chunk_count(spec.effective_chunk_size)
 
 
-def execute_chunk(spec: JobSpec, index: int) -> Dict[str, Any]:
+def execute_chunk(spec: JobSpec, index: int,
+                  previous: Optional[Dict[str, Any]] = None
+                  ) -> Dict[str, Any]:
     """Compute one chunk's JSON-ready payload (raises IndexError when
-    ``index`` is outside the plan)."""
-    return spec.params.execute_chunk(index, spec.effective_chunk_size)
+    ``index`` is outside the plan); ``previous`` is chunk
+    ``index - 1``'s payload, None when there is none at hand."""
+    return spec.params.execute_chunk(index, spec.effective_chunk_size,
+                                     previous)
 
 
 def assemble_artifact(spec: JobSpec,
@@ -76,7 +82,9 @@ def serial_artifact(spec: JobSpec) -> Dict[str, Any]:
     Checkpointed, resumed and retried runs must all equal this — tests
     pin the equivalence byte-for-byte via :func:`encode_artifact`.
     """
-    return assemble_artifact(
-        spec, [execute_chunk(spec, index)
-               for index in range(chunk_count(spec))]
-    )
+    payloads: List[Dict[str, Any]] = []
+    previous = None
+    for index in range(chunk_count(spec)):
+        payloads.append(execute_chunk(spec, index, previous))
+        previous = json.loads(json.dumps(payloads[-1]))
+    return assemble_artifact(spec, payloads)

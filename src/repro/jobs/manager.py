@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from . import executor
 from .spec import DEFAULT_MAX_ATTEMPTS, JobSpec
-from .store import JobRecord, JobStore
+from .store import JobRecord
 from .worker import Worker
 
 __all__ = ["JobManager"]
@@ -45,21 +45,15 @@ class JobManager:
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be non-negative, got {workers}")
-        execute_chunk = None
-        if fault_injector is not None:
-            # Chaos mode: the store gets a skewable clock plus scripted
-            # method faults, and the chunk executor gets the
-            # ``worker.chunk`` fault point.  Lazy import keeps the jobs
-            # package free of a hard resilience dependency.
-            from ..resilience.faultinject import (
-                faulty_execute_chunk,
-                faulty_store,
-            )
+        # Chaos mode (an injector here, or REPRO_FAULT_PROFILE): the
+        # store gets a skewable clock plus scripted method faults, and
+        # the chunk executor the ``worker.chunk`` fault point.  Lazy
+        # import keeps the jobs package free of a hard resilience
+        # dependency.
+        from ..resilience.faultinject import fault_wiring
 
-            self.store: Any = faulty_store(state_dir, fault_injector)
-            execute_chunk = faulty_execute_chunk(fault_injector)
-        else:
-            self.store = JobStore(state_dir)
+        _, self.store, execute_chunk = fault_wiring(fault_injector,
+                                                    state_dir)
         self.workers = workers
         self._stop = threading.Event()
         self._stopped = False

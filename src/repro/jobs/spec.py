@@ -14,7 +14,9 @@ a chunk size.  :data:`KINDS` maps each kind name to its params class:
 
 Every params class provides the same methods: ``to_dict``/``from_dict``
 (the kind's fields of the stored spec), ``chunk_count(chunk_size)``,
-``execute_chunk(index, chunk_size)``, ``assemble(payloads)`` and
+``execute_chunk(index, chunk_size, previous)`` (``previous`` is chunk
+``index - 1``'s payload read back from JSON, or None; only an
+evolutionary optimize search uses it), ``assemble(payloads)`` and
 ``cost()`` (the work units a job budgets), plus a ``default_chunk``.
 The executor, the service and its metrics look a kind up in the table
 instead of branching on it.
@@ -103,7 +105,9 @@ class ExperimentsParams:
     def chunk_count(self, chunk_size: int) -> int:
         return -(-len(self.ids) // chunk_size)
 
-    def execute_chunk(self, index: int, chunk_size: int) -> Dict[str, Any]:
+    def execute_chunk(self, index: int, chunk_size: int,
+                      previous: Optional[Dict[str, Any]]
+                      ) -> Dict[str, Any]:
         """Run a group of ids through the serial engine path."""
         from ..analysis.export import to_jsonable
         from ..experiments.engine import SweepEngine
@@ -215,7 +219,9 @@ class SweepParams:
     def chunk_count(self, chunk_size: int) -> int:
         return -(-self.num_points // chunk_size)
 
-    def execute_chunk(self, index: int, chunk_size: int) -> Dict[str, Any]:
+    def execute_chunk(self, index: int, chunk_size: int,
+                      previous: Optional[Dict[str, Any]]
+                      ) -> Dict[str, Any]:
         return {"points": self.rows(*_slice_bounds(index, chunk_size,
                                                    self.num_points))}
 

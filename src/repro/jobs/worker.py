@@ -7,8 +7,9 @@ A :class:`Worker` drives one lease at a time against a
 2. re-derive its chunk plan from the stored spec and **skip every chunk
    that already has a checkpoint** (that's crash-resume: the previous
    worker's completed chunks are never re-executed);
-3. execute the remaining chunks in order, persisting a checkpoint and
-   renewing the lease after each one;
+3. execute the remaining chunks in order, handing each its
+   predecessor's checkpoint payload (read back from JSON), persisting
+   a checkpoint and renewing the lease after each one;
 4. assemble the artifact from the checkpoint row set and finish.
 
 Between chunks the worker honours cancellation requests and the stop
@@ -75,8 +76,9 @@ class Worker:
         Retry delay after the n-th failure is
         ``min(cap, base * 2**(n-1)) * (1 + jitter * U[0, 1))``.
     execute_chunk:
-        Injectable chunk executor (tests swap in flaky ones); defaults
-        to :func:`repro.jobs.executor.execute_chunk`.
+        Injectable chunk executor ``(spec, index, previous)`` (tests
+        swap in flaky ones); defaults to
+        :func:`repro.jobs.executor.execute_chunk`.
     on_chunk:
         Callback receiving each completed chunk's wall seconds — the
         service feeds its chunk-latency histogram through this.
@@ -94,7 +96,8 @@ class Worker:
         backoff_base: float = 0.5,
         backoff_cap: float = 30.0,
         backoff_jitter: float = 0.25,
-        execute_chunk: Optional[Callable[[JobSpec, int], dict]] = None,
+        execute_chunk: Optional[
+            Callable[[JobSpec, int, Optional[dict]], dict]] = None,
         on_chunk: Optional[Callable[[float], None]] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
@@ -177,9 +180,9 @@ class Worker:
             self.store.finish(job.id, FAILED,
                               error=f"unusable job spec: {error}")
             return
-        done = set(self.store.checkpoints(job.id))
+        texts = self.store.checkpoints(job.id)
         for index in range(job.chunks_total):
-            if index in done:
+            if index in texts:
                 continue
             if stop.is_set():
                 # Drain: completed chunks are checkpointed; the job goes
@@ -192,14 +195,18 @@ class Worker:
                                   error="cancelled by request")
                 return
             self._test_hooks(job.id, index)
+            previous = texts.get(index - 1)
             started = time.perf_counter()
             try:
-                payload = self._execute_chunk(spec, index)
+                payload = self._execute_chunk(
+                    spec, index,
+                    None if previous is None else json.loads(previous))
             except Exception as error:  # noqa: BLE001 - retry boundary
                 self._handle_chunk_failure(current, index, error)
                 return
             elapsed = time.perf_counter() - started
-            self.store.checkpoint(job.id, index, json.dumps(payload),
+            texts[index] = json.dumps(payload)
+            self.store.checkpoint(job.id, index, texts[index],
                                   elapsed=elapsed)
             if self._on_chunk is not None:
                 self._on_chunk(elapsed)
@@ -323,26 +330,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, request_stop)
 
-    store = JobStore(args.state_dir)
-    execute_chunk = None
-    injector = None
-    if args.fault_profile:
-        from ..resilience.faultinject import FaultInjector, load_profile
+    from ..resilience.faultinject import fault_wiring
 
-        injector = FaultInjector(load_profile(args.fault_profile))
-    else:
-        from ..resilience.faultinject import injector_from_env
-
-        injector = injector_from_env()
-    if injector is not None:
-        from ..resilience.faultinject import (
-            faulty_execute_chunk,
-            faulty_store,
-        )
-
-        store = faulty_store(args.state_dir, injector)
-        execute_chunk = faulty_execute_chunk(injector)
-
+    injector, store, execute_chunk = fault_wiring(args.fault_profile,
+                                                  args.state_dir)
     worker = Worker(
         store,
         worker_id=args.worker_id,

@@ -12,14 +12,17 @@ the property the durable-jobs layer leans on:
   its chunk-local frontier, and assembly merges them (equal to one
   global frontier by dominance transitivity).
 * **evolutionary** — generation ``k`` is chunk ``k``.  A generation's
-  population depends on its predecessor, so
-  :func:`execute_optimize_chunk` *replays* generations ``0..k`` from
-  the seed (recompute-prefix).  Per-generation RNG is
+  population depends on its predecessor, so chunk ``k`` *continues*
+  from chunk ``k - 1``'s payload, which carries that generation's
+  population and fitness beside the cumulative frontier and counters.
+  The executor hands the payload in as read back from JSON, on a fresh
+  run and on a resumed one alike.  Per-generation RNG is
   ``random.Random(seed * 1_000_003 + generation)`` — no RNG state is
-  carried across chunks, so replay from any point is exact.  Re-solves
-  during replay hit the solve memo and the chunk payload is a full
-  snapshot (cumulative frontier + counters), so a crash-resumed job
-  reproduces the identical artifact bytes.
+  carried across chunks — so generation ``k`` is a pure function of
+  the params and ``k``, and a crash-resumed job reproduces the
+  identical artifact bytes.  Without a usable predecessor (chunk 0, or
+  a checkpoint written without the carried state) a chunk steps from
+  generation 0 through the same step function.
 
 Evaluated rows carry three objectives (see :mod:`.pareto`): buildable
 ``cores``; ``cache_fraction`` — the die's cache area share at the
@@ -186,9 +189,11 @@ class OptimizeParams:
             population=payload["population"], space=payload.get("space"),
         )
 
-    def execute_chunk(self, index: int, chunk_size: int) -> Dict[str, Any]:
+    def execute_chunk(self, index: int, chunk_size: int,
+                      previous: Optional[Dict[str, Any]]
+                      ) -> Dict[str, Any]:
         return execute_optimize_chunk(
-            replace(self, chunk_size=chunk_size), index)
+            replace(self, chunk_size=chunk_size), index, previous)
 
     def assemble(self, payloads: Sequence[Dict[str, Any]]
                  ) -> Dict[str, Any]:
@@ -343,62 +348,70 @@ def _select(population: Sequence[Tuple[int, ...]],
     return population[best]
 
 
-def _evolution_snapshot(params: OptimizeParams,
-                        upto_generation: int) -> Dict[str, Any]:
-    """Replay generations ``0..upto_generation`` and snapshot the state.
-
-    Pure function of (params, upto_generation): the recompute-prefix
-    that makes evolutionary chunks independently executable.  Re-solved
-    generations hit the process-local solve memo, so replay cost is
-    dominated by the newest generation.
+def _evolve(params: OptimizeParams, model: BandwidthWallModel,
+            generation: int,
+            state: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """Step one generation from ``state``, the previous generation's
+    payload (``None`` before generation 0); returns this generation's
+    payload: cumulative counters and frontier, population and fitness.
     """
     space = params.space
-    model = params.model()
-    frontier: List[Dict[str, Any]] = []
-    evaluated = 0
-    skipped_total = 0
-    population: List[Tuple[int, ...]] = []
-    fitness: List[Tuple[float, float, float]] = []
-    for generation in range(upto_generation + 1):
-        rng = _generation_rng(params.seed, generation)
-        if generation == 0:
-            population = [_random_config(space, rng)
-                          for _ in range(params.population)]
-        else:
-            population = [
-                _mutate(space, _select(population, fitness, rng), rng)
-                for _ in range(params.population)
-            ]
-        rows, skipped = _evaluate_configs(model, params, population)
-        evaluated += len(population)
-        skipped_total += skipped
-        by_key = {tuple(row["config_key"]): objective_key(row)
-                  for row in rows}
-        fitness = [by_key.get(config, _INFEASIBLE_KEY)
-                   for config in population]
-        frontier = merge_frontiers(frontier, rows)
+    rng = _generation_rng(params.seed, generation)
+    if state is None:
+        state = {"evaluated": 0, "skipped": 0, "frontier": []}
+        population = [_random_config(space, rng)
+                      for _ in range(params.population)]
+    else:
+        population = [
+            _mutate(space,
+                    _select(state["population"], state["fitness"], rng),
+                    rng)
+            for _ in range(params.population)
+        ]
+    rows, skipped = _evaluate_configs(model, params, population)
+    by_key = {tuple(row["config_key"]): objective_key(row)
+              for row in rows}
     return {
-        "generation": upto_generation,
-        "evaluated": evaluated,
-        "skipped": skipped_total,
-        "frontier": frontier,
+        "generation": generation,
+        "evaluated": state["evaluated"] + len(population),
+        "skipped": state["skipped"] + skipped,
+        "frontier": merge_frontiers(state["frontier"], rows),
+        "population": population,
+        "fitness": [by_key.get(config, _INFEASIBLE_KEY)
+                    for config in population],
     }
+
+
+def _execute_evolution_chunk(params: OptimizeParams, index: int,
+                             previous: Optional[Dict[str, Any]]
+                             ) -> Dict[str, Any]:
+    """Generation ``index``, continued from ``previous`` (chunk
+    ``index - 1``'s payload) when it carries its population, else
+    stepped from generation 0."""
+    model = params.model()
+    state = previous if previous and "population" in previous else None
+    for generation in range(0 if state is None else index, index + 1):
+        state = _evolve(params, model, generation, state)
+    return state
 
 
 # ----------------------------------------------------------------------
 # Chunk protocol (behind the params' job-kind methods)
 # ----------------------------------------------------------------------
 
-def execute_optimize_chunk(params: OptimizeParams,
-                           index: int) -> Dict[str, Any]:
-    """One chunk's JSON-ready payload (slice or generation snapshot)."""
+def execute_optimize_chunk(params: OptimizeParams, index: int,
+                           previous: Optional[Dict[str, Any]] = None
+                           ) -> Dict[str, Any]:
+    """One chunk's JSON-ready payload (slice or generation snapshot);
+    ``previous`` is chunk ``index - 1``'s payload, which only an
+    evolutionary search continues from."""
     count = params.chunk_count()
     if not 0 <= index < count:
         raise IndexError(
             f"chunk index {index} out of range for {count} chunks"
         )
     if params.strategy == EVOLUTIONARY_STRATEGY:
-        return _evolution_snapshot(params, index)
+        return _execute_evolution_chunk(params, index, previous)
     return _execute_exhaustive_chunk(params, index)
 
 
@@ -445,10 +458,11 @@ def assemble_optimize_artifact(
 def run_search(params: OptimizeParams) -> Dict[str, Any]:
     """Run a whole search in-process (CLI and benchmark entry point).
 
-    Identical to executing every chunk and assembling — literally, so
-    the serial path and the jobs path are byte-identical by
-    construction.
+    It is the jobs path's serial run, literally, so the two are
+    byte-identical by construction.
     """
-    payloads = [execute_optimize_chunk(params, index)
-                for index in range(params.chunk_count())]
-    return assemble_optimize_artifact(params, payloads)
+    from ..jobs.executor import serial_artifact
+    from ..jobs.spec import JobSpec
+
+    return serial_artifact(
+        JobSpec("optimize", params, chunk_size=params.chunk_size))

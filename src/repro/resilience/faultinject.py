@@ -32,8 +32,10 @@ Wrappers
 whose clock is skew-injected and wraps it in :class:`FaultyJobStore`
 (method-call fault points).  :func:`faulty_execute_chunk` wraps the
 job executor; :class:`FaultyResponseCache` wraps the service response
-cache.  The service and the standalone worker activate all of them
-from ``serve --fault-profile`` / the ``REPRO_FAULT_PROFILE`` env var.
+cache.  :func:`fault_wiring` builds the injector, store and executor
+of one process from ``--fault-profile`` or the ``REPRO_FAULT_PROFILE``
+env var; the service, its job manager, the standalone worker and the
+worker fleet all go through it.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ __all__ = [
     "injector_from_env",
     "faulty_store",
     "faulty_execute_chunk",
+    "fault_wiring",
 ]
 
 #: Environment variable naming a builtin profile or a JSON profile file.
@@ -446,8 +449,39 @@ def faulty_execute_chunk(
 
         base = executor_mod.execute_chunk
 
-    def execute(spec: Any, index: int) -> Dict[str, Any]:
+    def execute(spec: Any, index: int,
+                previous: Optional[Dict[str, Any]] = None
+                ) -> Dict[str, Any]:
         injector.on_call("worker.chunk")
-        return base(spec, index)
+        return base(spec, index, previous)
 
     return execute
+
+
+def fault_wiring(
+    fault: Union[FaultInjector, str, None] = None,
+    state_dir: Union[str, Path, None] = None,
+) -> Tuple[Optional[FaultInjector], Any,
+           Optional[Callable[..., Dict[str, Any]]]]:
+    """One process's ``(injector, job store, chunk executor)``.
+
+    ``fault`` is an injector, or a builtin profile name or JSON profile
+    path to build one from; ``None`` reads ``REPRO_FAULT_PROFILE``.
+    With no injector the store is a plain JobStore and the executor
+    ``None`` (the worker's default); with one they are
+    :func:`faulty_store` and :func:`faulty_execute_chunk`.  Without a
+    ``state_dir`` the store is ``None``.
+    """
+    from ..jobs.store import JobStore
+
+    if isinstance(fault, FaultInjector):
+        injector: Optional[FaultInjector] = fault
+    elif fault:
+        injector = FaultInjector(load_profile(fault))
+    else:
+        injector = injector_from_env()
+    if injector is None:
+        store = None if state_dir is None else JobStore(state_dir)
+        return None, store, None
+    store = None if state_dir is None else faulty_store(state_dir, injector)
+    return injector, store, faulty_execute_chunk(injector)

@@ -7,7 +7,7 @@ package takes the single-process service and job worker horizontal:
 * :mod:`repro.scaleout.prefork` — ``serve --processes N``: N forked
   workers accepting on a shared listening socket (``SO_REUSEPORT``
   when the platform has it, inherited-fd fallback otherwise), each
-  with its own response cache and solve memo;
+  with its own response cache;
 * :mod:`repro.scaleout.fleet` — ``python -m repro.jobs.worker
   --processes N``: a fleet of competing lease claimers over one
   durable :class:`~repro.jobs.store.JobStore`.

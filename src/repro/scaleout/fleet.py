@@ -25,7 +25,6 @@ import uuid
 from pathlib import Path
 from typing import List, Optional, Union
 
-from ..jobs.store import JobStore
 from ..jobs.worker import Worker
 from .procutil import (
     hold_stop_signals,
@@ -50,23 +49,9 @@ def run_fleet(state_dir: Union[str, Path], *, processes: int,
     """
     if processes <= 0:
         raise ValueError(f"processes must be positive, got {processes}")
-    from ..resilience.faultinject import (
-        FaultInjector,
-        faulty_execute_chunk,
-        faulty_store,
-        injector_from_env,
-        load_profile,
-    )
+    from ..resilience.faultinject import fault_wiring
 
-    store = JobStore(state_dir)
-    execute_chunk = None
-    if fault_profile:
-        injector = FaultInjector(load_profile(fault_profile))
-    else:
-        injector = injector_from_env()
-    if injector is not None:
-        store = faulty_store(state_dir, injector)
-        execute_chunk = faulty_execute_chunk(injector)
+    injector, store, execute_chunk = fault_wiring(fault_profile, state_dir)
     base_id = worker_id or f"fleet-{uuid.uuid4().hex[:6]}"
     worker = Worker(
         store,

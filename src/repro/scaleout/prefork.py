@@ -36,8 +36,8 @@ What is shared and what is not
 ------------------------------
 Shared per group: the listening port and the durable job store
 (``state_dir``).  Per process, by design: admission control, circuit
-breakers, in-flight coalescing, the response cache and the solve memo
-— see docs/SCALEOUT.md for why.
+breakers, in-flight coalescing and the response cache — see
+docs/SCALEOUT.md for why.
 """
 
 from __future__ import annotations

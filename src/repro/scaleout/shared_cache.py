@@ -5,7 +5,7 @@ ran a pre-fork group over it until measurement showed it cost more
 than it saved: on the benchmark's ``serve`` workload it answered none
 of its memo lookups and 5.6 % of its response lookups, at 7.8 ms per
 request against 4.5 ms of core solving, so every server process now
-keeps only its own response cache and solve memo.  The module stays
+keeps only its own response cache.  The module stays
 because ``wallbench/spans.py`` wraps its classes' methods in every
 traced benchmark run, and ``spans.install`` fails on all three
 workloads without them.  It goes together with those hooks.

@@ -22,11 +22,11 @@ out — wired to the evaluation core:
   families).
 
 Expensive handlers run through a TTL+LRU :class:`~repro.service.cache.
-ResponseCache` with single-flight coalescing, layered on the process
-solve memo.  The HTTP transport is a stdlib ``ThreadingHTTPServer``
-whose per-request concurrency is capped by a worker semaphore, and
-shutdown is graceful: SIGTERM stops the accept loop, lets in-flight
-requests drain up to a deadline, then closes.
+ResponseCache` with single-flight coalescing.  The HTTP transport is a
+stdlib ``ThreadingHTTPServer`` whose per-request concurrency is capped
+by a worker semaphore, and shutdown is graceful: SIGTERM stops the
+accept loop, lets in-flight requests drain up to a deadline, then
+closes.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..analysis.export import dumps_strict, strict_jsonable
-from ..core import memo
 from ..core.scenario import scenario_payload, solve_scenario
 from ..jobs import KINDS, JobManager, JobRecord
 from ..jobs.store import FAILED, STATUSES, SUCCEEDED
@@ -70,12 +69,7 @@ from ..resilience.deadline import (
     deadline_scope,
     deadline_from_ms,
 )
-from ..resilience.faultinject import (
-    FaultInjector,
-    FaultyResponseCache,
-    injector_from_env,
-    load_profile,
-)
+from ..resilience.faultinject import FaultyResponseCache, fault_wiring
 from .cache import FlightWaitTimeout, ResponseCache
 from ..core.solver import BracketError
 from .errors import (
@@ -130,7 +124,7 @@ class ServiceConfig:
     ``processes > 1`` selects pre-fork scale-out (see
     :mod:`repro.scaleout.prefork`): N forked copies of this service
     share one listening port and one job store.  Each copy keeps its
-    own response cache and solve memo.
+    own response cache.
     """
 
     host: str = "127.0.0.1"
@@ -195,10 +189,12 @@ class Response:
 
 
 #: Routes budgeted by admission control; everything else is cheap and
-#: always admitted (healthz, metrics, single solves, job polling).
+#: always admitted (healthz, metrics, single solves, job polling).  Job
+#: submissions share one class whichever route and kind they take.
 EXPENSIVE_ROUTES = frozenset([
     ("POST", "/v1/sweep"),
     ("GET", "/v1/experiments/{id}"),
+    ("POST", "/v1/jobs"),
     ("POST", "/v1/optimize"),
     ("POST", "/v1/traces"),
 ])
@@ -211,7 +207,7 @@ class BandwidthWallService:
         self.config = config
         self.started_monotonic = time.monotonic()
         self.draining = threading.Event()
-        self.fault_injector = self._build_injector(config)
+        self.fault_injector = fault_wiring(config.fault_profile)[0]
         if self.fault_injector is not None:
             self.response_cache = FaultyResponseCache(
                 self.fault_injector,
@@ -283,12 +279,6 @@ class BandwidthWallService:
                  prefix + "/{id}"),
             ]
 
-    @staticmethod
-    def _build_injector(config: ServiceConfig) -> Optional[FaultInjector]:
-        if config.fault_profile:
-            return FaultInjector(load_profile(config.fault_profile))
-        return injector_from_env()
-
     def _on_breaker_transition(self, from_state: str,
                                to_state: str) -> None:
         # Fires from inside the breaker lock; the counter is lock-free
@@ -356,26 +346,6 @@ class BandwidthWallService:
             "service_response_cache_hit_rate",
             "Fraction of lookups served without computing (hit+coalesced).",
             callback=lambda: cache_stats().hit_rate,
-        )
-        registry.gauge(
-            "solve_memo_hits_total",
-            "Solve-memo lookups served from cache (process-wide).",
-            callback=lambda: memo.stats_snapshot().hits,
-        )
-        registry.gauge(
-            "solve_memo_misses_total",
-            "Solve-memo lookups that ran the bisection (process-wide).",
-            callback=lambda: memo.stats_snapshot().misses,
-        )
-        registry.gauge(
-            "solve_memo_size",
-            "Distinct solves currently memoized (process-wide).",
-            callback=lambda: memo.stats_snapshot().size,
-        )
-        registry.gauge(
-            "solve_memo_hit_rate",
-            "Fraction of solve lookups served from the memo.",
-            callback=lambda: memo.stats_snapshot().hit_rate,
         )
         # Resilience.  Shed/deadline counters are bumped on the request
         # path; breaker state is a live per-dependency gauge.

@@ -1,12 +1,11 @@
 """TTL+LRU response cache with in-flight request coalescing.
 
-This sits **above** the solve memo (:mod:`repro.core.memo`): the memo
-deduplicates individual bisections inside one process; this cache
-deduplicates whole *rendered responses* (solve payloads, experiment
-artifacts) and — via single-flight coalescing — whole *computations*:
-when N identical requests arrive concurrently, one thread computes and
-the other N-1 block on the same flight and share its result, so a
-stampede of identical solves costs one bisection and one render.
+This cache deduplicates whole *rendered responses* (solve payloads,
+experiment artifacts) and — via single-flight coalescing — whole
+*computations*: when N identical requests arrive concurrently, one
+thread computes and the other N-1 block on the same flight and share
+its result, so a stampede of identical solves costs one bisection and
+one render.
 
 Entries expire after ``ttl`` seconds and the table is LRU-bounded.
 Failures are never cached: if the compute raises, every coalesced

@@ -6,9 +6,8 @@ text exposition format 0.0.4 (``# HELP``/``# TYPE`` plus samples), the
 format every Prometheus-compatible scraper understands.
 
 Callback gauges bridge external state into the scrape: the service
-registers the solve-memo snapshot (:func:`repro.core.memo.
-stats_snapshot`) and the response-cache stats as callbacks, so
-``/metrics`` always reflects live values without polling threads.
+registers the response-cache stats as callbacks, so ``/metrics``
+always reflects live values without polling threads.
 """
 
 from __future__ import annotations

@@ -205,7 +205,6 @@ def contract_main() -> int:
             "service_request_duration_seconds_bucket",
             "service_response_cache_hit_rate",
             "service_response_cache_expirations_total",
-            "solve_memo_hit_rate",
             'jobs_submitted_total{kind="experiments"}',
             "jobs_queue_depth",
             "jobs_workers_alive",

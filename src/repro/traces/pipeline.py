@@ -15,8 +15,9 @@ contract :mod:`repro.optimize.search` established.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Sequence, Tuple, Union
+from typing import Any, ClassVar, Dict, Optional, Sequence, Tuple, Union
 
+from ..workloads.address_stream import as_columns
 from .fitting import calibrated_model, fit_yavits
 from .simulate import cross_check_curve, curve_max_delta, simulate_trace
 from .synthesis import TRACE_SOURCES, trace_source_streams
@@ -242,7 +243,9 @@ class TraceParams:
     def from_dict(cls, payload: Dict[str, Any]) -> "TraceParams":
         return cls.from_items(payload.get("trace", {}))
 
-    def execute_chunk(self, index: int, chunk_size: int) -> Dict[str, Any]:
+    def execute_chunk(self, index: int, chunk_size: int,
+                      previous: Optional[Dict[str, Any]]
+                      ) -> Dict[str, Any]:
         return execute_trace_chunk(self, index)
 
     def assemble(self, payloads: Sequence[Dict[str, Any]]
@@ -286,8 +289,10 @@ def execute_trace_chunk(params: TraceParams,
         line_bytes=params.line_bytes,
         seed=params.seed,
     )
+    # Columns, so the cross-check can reuse a file source's stream.
+    stream = as_columns(streams.stream)
     simulation = simulate_trace(
-        streams.stream, params.line_counts,
+        stream, params.line_counts,
         line_bytes=params.line_bytes,
         warmup=streams.warmup,
         exclude_cold=streams.exclude_cold,
@@ -347,17 +352,8 @@ def execute_trace_chunk(params: TraceParams,
         payload["model"] = {"error": "no extended fit to calibrate from"}
 
     if params.associativity > 0:
-        def replay():
-            return trace_source_streams(
-                params.source, unit,
-                accesses=params.accesses,
-                working_set_lines=params.working_set_lines,
-                line_bytes=params.line_bytes,
-                seed=params.seed,
-            ).stream
-
         checked = cross_check_curve(
-            replay, params.line_counts,
+            stream, params.line_counts,
             line_bytes=params.line_bytes,
             associativity=params.associativity,
         )

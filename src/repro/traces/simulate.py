@@ -3,9 +3,9 @@
 The measurement of record is Mattson stack-distance profiling
 (:class:`~repro.workloads.stack_distance.StackDistanceProfiler`): one
 offline kernel run over the whole trace yields the exact
-fully-associative LRU miss rate at *every* capacity simultaneously.  A
-set-associative simulator (:func:`cross_check_curve`) replays the same
-trace through a realistic organisation — one run per capacity — so
+fully-associative LRU miss rate at *every* capacity simultaneously.
+:func:`cross_check_curve` replays the same trace through a realistic
+set-associative organisation — one offline LRU pass per capacity — so
 tests can bound how far finite associativity bends the curve the fits
 consume.
 """
@@ -13,10 +13,12 @@ consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from ..cache.set_assoc import SetAssociativeCache
-from ..workloads.address_stream import MemoryAccess
+import numpy as np
+
+from ..cache.set_assoc import lru_misses
+from ..workloads.address_stream import MemoryAccess, as_columns
 from ..workloads.stack_distance import MissCurve, StackDistanceProfiler
 
 __all__ = [
@@ -87,33 +89,34 @@ def simulate_trace(
 
 
 def cross_check_curve(
-    stream_factory: Callable[[], Iterator[MemoryAccess]],
+    stream: Iterable[MemoryAccess],
     cache_line_counts: Sequence[int],
     *,
     line_bytes: int = 64,
     associativity: int = 8,
 ) -> MissCurve:
-    """The same curve through a set-associative cache, one run per size.
+    """The same curve through a set-associative LRU cache.
 
-    ``stream_factory()`` must return a fresh, identical stream each
-    call.  Includes cold misses (a real cache cannot exclude them);
+    ``stream`` is :class:`~repro.workloads.address_stream.TraceColumns`
+    or any iterable of accesses.  Each capacity is one
+    :func:`~repro.cache.set_assoc.lru_misses` pass, whose miss rates
+    equal replaying the stream through a fresh
+    :class:`~repro.cache.set_assoc.SetAssociativeCache` one access at a
+    time.  Includes cold misses (a real cache cannot exclude them);
     compare against a ``simulate_trace`` run with
     ``exclude_cold=False``.
     """
-    line_counts = []
-    rates = []
-    for count in sorted(set(cache_line_counts)):
-        cache = SetAssociativeCache(
-            size_bytes=count * line_bytes,
-            line_bytes=line_bytes,
-            associativity=associativity,
-        )
-        for access in stream_factory():
-            cache.access(access.address, is_write=access.is_write,
-                         core_id=access.core_id)
-        line_counts.append(count)
-        rates.append(cache.stats.miss_rate)
-    return MissCurve(tuple(line_counts), tuple(rates))
+    columns = as_columns(stream)
+    if not len(columns):
+        raise ValueError("no accesses recorded")
+    line_counts = tuple(sorted(set(cache_line_counts)))
+    rates = tuple(
+        int(np.count_nonzero(lru_misses(columns.address, count * line_bytes,
+                                        line_bytes, associativity)))
+        / len(columns)
+        for count in line_counts
+    )
+    return MissCurve(line_counts, rates)
 
 
 def curve_max_delta(reference: MissCurve, other: MissCurve) -> float:

@@ -7,9 +7,9 @@ from repro.analysis.calibration import (
     measure_miss_curve,
     measure_sharing_fraction,
     sharing_vs_cores,
-    simulate_miss_curve,
 )
 from repro.analysis.fitting import fit_miss_curve
+from repro.traces.simulate import cross_check_curve
 from repro.workloads.commercial import commercial_generator
 from repro.workloads.parsec_like import ParsecLikeWorkload
 from repro.workloads.stack_distance import PowerLawTraceGenerator
@@ -21,9 +21,7 @@ class TestMeasureMissCurve:
                                      seed=3)
         accesses = list(gen.accesses(10_000))
         profiled = measure_miss_curve(accesses, [64])
-        simulated = simulate_miss_curve(
-            lambda: accesses, [64 * 64], associativity=64
-        )
+        simulated = cross_check_curve(accesses, [64], associativity=64)
         assert profiled.miss_rates[0] == pytest.approx(
             simulated.miss_rates[0]
         )
@@ -35,9 +33,7 @@ class TestMeasureMissCurve:
                                      seed=5)
         accesses = list(gen.accesses(30_000))
         profiled = measure_miss_curve(accesses, [512])
-        simulated = simulate_miss_curve(
-            lambda: accesses, [512 * 64], associativity=8
-        )
+        simulated = cross_check_curve(accesses, [512], associativity=8)
         assert simulated.miss_rates[0] >= profiled.miss_rates[0] - 1e-9
         assert simulated.miss_rates[0] == pytest.approx(
             profiled.miss_rates[0], rel=0.15

@@ -1,22 +1,14 @@
-"""Unit tests for the solve memo cache (repro.core.memo)."""
+"""Unit tests for the memo table the shared tier builds on
+(repro.core.memo)."""
 
 import pytest
 
 from repro.core import memo
 from repro.core.area import ChipDesign
 from repro.core.scaling import BandwidthWallModel
-from repro.core.techniques import NEUTRAL_EFFECT, LinkCompression
+from repro.core.techniques import NEUTRAL_EFFECT
 
 MODEL = BandwidthWallModel(ChipDesign(16, 8), alpha=0.5)
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    memo.clear_cache()
-    memo.configure(enabled=True)
-    yield
-    memo.clear_cache()
-    memo.configure(enabled=True)
 
 
 class TestMemoCache:
@@ -65,82 +57,11 @@ class TestMemoCache:
         assert (delta.hits, delta.misses) == (3, 1)
 
 
-class TestSolvePathIntegration:
-    def test_repeated_solves_hit_the_global_cache(self):
-        MODEL.supportable_cores(32.0)
-        before = memo.cache_stats()
-        first = MODEL.supportable_cores(32.0)
-        second = MODEL.supportable_cores(32.0)
-        delta = memo.cache_stats().since(before)
-        assert delta.hits == 2 and delta.misses == 0
-        assert first is second  # the cached frozen instance is shared
-
-    def test_distinct_effects_are_distinct_keys(self):
-        effect = LinkCompression(2.0).effect()
-        a = MODEL.supportable_cores(32.0)
-        b = MODEL.supportable_cores(32.0, effect=effect)
-        assert a.continuous_cores != b.continuous_cores
-        stats = memo.cache_stats()
-        assert stats.size >= 2
-
-    def test_disabled_context_bypasses_cache(self):
-        MODEL.supportable_cores(32.0)
-        before = memo.cache_stats()
-        with memo.disabled():
-            solution = MODEL.supportable_cores(32.0)
-        delta = memo.cache_stats().since(before)
-        assert (delta.hits, delta.misses) == (0, 0)
-        assert solution.cores == 11
-
-    def test_memoized_equals_unmemoized(self):
-        memoized = MODEL.supportable_cores(48.0, traffic_budget=1.25)
-        with memo.disabled():
-            raw = MODEL.supportable_cores(48.0, traffic_budget=1.25)
-        assert memoized == raw
-
-
 class TestStatsSnapshot:
-    def test_snapshot_carries_counters_and_configuration(self):
-        cache = memo.MemoCache(maxsize=7)
-        key = memo.ModelKey(ChipDesign(16, 8), 0.5, 32.0, 1.0,
-                            NEUTRAL_EFFECT)
-        cache.lookup(key)  # miss
-        cache.store(key, MODEL.supportable_cores(32.0))
-        cache.lookup(key)  # hit
-        snapshot = cache.stats_snapshot()
-        assert (snapshot.hits, snapshot.misses) == (1, 1)
-        assert (snapshot.size, snapshot.maxsize) == (1, 7)
-        assert snapshot.enabled is True
-        assert snapshot.lookups == 2
-        assert snapshot.hit_rate == 0.5
-
-    def test_as_dict_is_flat_and_complete(self):
-        snapshot = memo.MemoSnapshot(hits=3, misses=1, size=2,
-                                     maxsize=10, enabled=False)
-        assert snapshot.as_dict() == {
-            "hits": 3, "misses": 1, "lookups": 4, "hit_rate": 0.75,
-            "size": 2, "maxsize": 10, "enabled": False,
-        }
-
-    def test_module_level_snapshot_tracks_the_global_cache(self):
-        before = memo.stats_snapshot()
-        MODEL.supportable_cores(32.0)
-        MODEL.supportable_cores(32.0)
-        after = memo.stats_snapshot()
-        assert after.misses - before.misses == 1
-        assert after.hits - before.hits == 1
-        assert after.maxsize == memo.DEFAULT_MAXSIZE
-
-    def test_module_level_snapshot_reflects_disabled_state(self):
-        assert memo.stats_snapshot().enabled is True
-        with memo.disabled():
-            assert memo.stats_snapshot().enabled is False
-        assert memo.stats_snapshot().enabled is True
-        memo.configure(enabled=False)
-        assert memo.stats_snapshot().enabled is False
+    """``MemoCache.stats()`` is an immutable point-in-time snapshot."""
 
     def test_snapshot_is_immutable(self):
-        snapshot = memo.stats_snapshot()
+        snapshot = memo.MemoCache().stats()
         with pytest.raises(AttributeError):
             snapshot.hits = 99
 
@@ -156,11 +77,11 @@ class TestStatsSnapshot:
         def hammer(_):
             for _ in range(200):
                 cache.lookup(key)
-                cache.stats_snapshot()
+                cache.stats()
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(hammer, range(8)))
-        snapshot = cache.stats_snapshot()
+        snapshot = cache.stats()
         # Every lookup was a hit; no update was lost under contention.
         assert snapshot.hits == 8 * 200
         assert snapshot.misses == 0

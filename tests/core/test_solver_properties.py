@@ -16,7 +16,7 @@ from repro.core.area import ChipDesign
 from repro.core.scaling import BandwidthWallModel
 from repro.core.solver import BracketError, solve_increasing
 
-#: Solves are microseconds (and memoized); generous example counts are
+#: Solves are microseconds; generous example counts are
 #: cheap.  deadline=None guards against scheduler noise on slow CI.
 COMMON_SETTINGS = settings(deadline=None, max_examples=100)
 

@@ -15,7 +15,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import memo, vectorized
+from repro.core import vectorized
 from repro.core.area import ChipDesign
 from repro.core.scaling import BandwidthWallModel
 from repro.core.solver import BracketError
@@ -280,16 +280,15 @@ class TestDispatchModes:
         model = BandwidthWallModel(ChipDesign(16, 8), alpha=0.5)
         previous = vectorized.mode()
         try:
-            with memo.disabled():
-                cases = [(ceas, budget)
-                         for ceas in (16.0, 32.0, 100.0, 256.0)
-                         for budget in (0.5, 1.0, 4.0)]
-                vectorized.configure("off")
-                scalar = [model.supportable_cores(c, traffic_budget=b)
-                          for c, b in cases]
-                vectorized.configure("force")
-                forced = [model.supportable_cores(c, traffic_budget=b)
-                          for c, b in cases]
+            cases = [(ceas, budget)
+                     for ceas in (16.0, 32.0, 100.0, 256.0)
+                     for budget in (0.5, 1.0, 4.0)]
+            vectorized.configure("off")
+            scalar = [model.supportable_cores(c, traffic_budget=b)
+                      for c, b in cases]
+            vectorized.configure("force")
+            forced = [model.supportable_cores(c, traffic_budget=b)
+                      for c, b in cases]
         finally:
             vectorized.configure(previous)
         for case, expected, actual in zip(cases, scalar, forced):
@@ -301,27 +300,30 @@ class TestBatchEntryPoint:
         model = BandwidthWallModel(ChipDesign(16, 8), alpha=0.48)
         queries = [(16.0 + 8.0 * i, 0.5 + 0.25 * j, EFFECTS[i % len(EFFECTS)])
                    for i in range(8) for j in range(5)]
-        with memo.disabled():
-            expected = [model.supportable_cores(t, traffic_budget=b, effect=e)
-                        for t, b, e in queries]
-            actual = model.supportable_cores_batch(queries)
+        expected = [model.supportable_cores(t, traffic_budget=b, effect=e)
+                    for t, b, e in queries]
+        actual = model.supportable_cores_batch(queries)
         for query, want, got in zip(queries, expected, actual):
             assert_identical(want, got, f"batch {query[:2]}")
 
-    def test_supportable_cores_batch_memoizes(self):
-        """The batch entry point serves repeats from the memo and stores
-        its misses — counters advance exactly like per-query solving."""
-        model = BandwidthWallModel(ChipDesign(16, 8), alpha=0.5)
-        queries = [(32.0 + i, 1.0, NEUTRAL_EFFECT) for i in range(20)]
-        try:
-            memo.clear_cache()
-            first = model.supportable_cores_batch(queries)
-            stats = memo.cache_stats()
-            assert stats.misses == len(queries)
-            second = model.supportable_cores_batch(queries)
-            stats_after = memo.cache_stats()
-            assert stats_after.hits - stats.hits == len(queries)
-        finally:
-            memo.clear_cache()
-        for want, got in zip(first, second):
-            assert want is got  # cached instances are shared
+
+class TestTrafficCurve:
+    def test_curve_rounds_like_equation_5(self):
+        """The hoisted curve the scalar bisection evaluates equals
+        ``effective_cache_ceas`` followed by Equation 5, bit for bit."""
+        baseline = ChipDesign(16, 8)
+        for alpha in ALPHAS:
+            model = BandwidthWallModel(baseline, alpha=alpha)
+            for effect in EFFECTS:
+                for total in (16.0, 37.5, 256.0):
+                    curve = model.traffic_curve(total, effect)
+                    top = total / effect.core_area_fraction
+                    for step in range(1, 41):
+                        cores = top * step / 40
+                        s2 = effect.effective_cache_ceas(total, cores) / cores
+                        want = math.inf if s2 <= 0 else (
+                            (cores / baseline.num_cores)
+                            * (s2 / baseline.cache_per_core) ** (-alpha)
+                            / effect.traffic_factor)
+                        assert curve(cores).hex() == want.hex(), \
+                            (alpha, effect, total, cores)

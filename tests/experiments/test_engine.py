@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.export import result_to_json
-from repro.core import memo
 from repro.core.presets import paper_baseline_model
 from repro.experiments import experiment_ids
 from repro.experiments import engine as engine_module
@@ -79,20 +78,6 @@ class TestOrderingAndStreaming:
             SweepEngine(max_workers=1).run(["fig99"])
         assert "fig99" in str(excinfo.value)
         assert "table2" in str(excinfo.value)
-
-
-class TestCacheAccounting:
-    def test_serial_sweep_counts_hits(self):
-        memo.clear_cache()
-        sweep = SweepEngine(max_workers=1).run(["fig2", "fig2"])
-        assert sweep.cache_misses > 0
-        # The second run of the same experiment hits the warm cache.
-        assert sweep.runs[1].cache_hits > 0
-        assert 0.0 < sweep.cache_hit_rate < 1.0
-
-    def test_experiment_run_hit_rate(self, serial_sweep):
-        for run in serial_sweep.runs:
-            assert 0.0 <= run.cache_hit_rate <= 1.0
 
 
 class TestFallback:

@@ -88,7 +88,7 @@ class TestRetries:
                            max_attempts=5)
         boom = {"remaining": 2}
 
-        def flaky(run_spec, index):
+        def flaky(run_spec, index, previous):
             if index == 1 and boom["remaining"] > 0:
                 boom["remaining"] -= 1
                 raise RuntimeError("transient chunk failure")
@@ -112,7 +112,7 @@ class TestRetries:
         job = store.submit(spec, chunks_total=chunk_count(spec),
                            max_attempts=2)
 
-        def always_broken(run_spec, index):
+        def always_broken(run_spec, index, previous):
             raise RuntimeError("deterministic bug")
 
         worker = Worker(store, worker_id="w1",
@@ -143,7 +143,7 @@ class TestCancellation:
         spec = JobSpec.experiments(CHEAP_IDS)
         job = store.submit(spec, chunks_total=chunk_count(spec))
 
-        def cancel_after_first(run_spec, index):
+        def cancel_after_first(run_spec, index, previous):
             if index == 0:
                 store.request_cancel(job.id)
             return fake_payload(index)
@@ -163,7 +163,7 @@ class TestResume:
         store.checkpoint(job.id, 0, json.dumps(fake_payload(0)))
         executed = []
 
-        def recording(run_spec, index):
+        def recording(run_spec, index, previous):
             executed.append(index)
             return fake_payload(index)
 
@@ -181,7 +181,7 @@ class TestResume:
         job = store.submit(spec, chunks_total=chunk_count(spec))
         stop = threading.Event()
 
-        def stop_after_first(run_spec, index):
+        def stop_after_first(run_spec, index, previous):
             stop.set()  # observed before chunk 1 starts
             return fake_payload(index)
 

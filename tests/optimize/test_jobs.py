@@ -9,6 +9,7 @@ for every kind in ``tests/jobs/test_crash_resume.py``.
 """
 
 import collections
+import hashlib
 import json
 import os
 import signal
@@ -51,6 +52,49 @@ def evolutionary_spec(generations=5, population=8, seed=11):
                             population=population, space=TINY_SPACE)
 
 
+#: Chunks 0 and 1 of ``evolutionary_spec()`` exactly as checkpointed
+#: before chunks carried their population: counters and frontier only.
+_PARENT_FRONTIER = (
+    '[{"config_key": [1, 1, 1, 0, 0, 1, 0, 0], '
+    '"config": {"cache_compression": 2.0, "link_compression": 2.0, '
+    '"dram_density": 8.0, "stacked_layers": 0.0, '
+    '"line_unused": 0.0, "filter_unused": 0.4, '
+    '"core_area_fraction": 1.0, "sharing_fraction": 0.0}, '
+    '"techniques": ["CC=2", "LC=2", "DRAM=8", "Fltr=0.4"], '
+    '"cores": 144, "continuous_cores": 144.80525375203666, '
+    '"cache_fraction": 0.4343544775311068, '
+    '"traffic": 1.9761976477207794, "area_limited": false}, '
+    '{"config_key": [0, 1, 1, 0, 0, 0, 0, 0], '
+    '"config": {"cache_compression": 1.0, "link_compression": 2.0, '
+    '"dram_density": 8.0, "stacked_layers": 0.0, '
+    '"line_unused": 0.0, "filter_unused": 0.0, '
+    '"core_area_fraction": 1.0, "sharing_fraction": 0.0}, '
+    '"techniques": ["LC=2", "DRAM=8"], "cores": 106, '
+    '"continuous_cores": 106.89566060561532, '
+    '"cache_fraction": 0.5824388257593152, '
+    '"traffic": 1.9690112260556907, "area_limited": false}, '
+    '{"config_key": [1, 1, 0, 0, 0, 1, 0, 0], '
+    '"config": {"cache_compression": 2.0, "link_compression": 2.0, '
+    '"dram_density": 1.0, "stacked_layers": 0.0, '
+    '"line_unused": 0.0, "filter_unused": 0.4, '
+    '"core_area_fraction": 1.0, "sharing_fraction": 0.0}, '
+    '"techniques": ["CC=2", "LC=2", "Fltr=0.4"], "cores": 83, '
+    '"continuous_cores": 83.7712148089602, '
+    '"cache_fraction": 0.6727686921524992, '
+    '"traffic": 1.9680436731857538, "area_limited": false}]'
+)
+PARENT_CHECKPOINTS = {
+    generation: (f'{{"generation": {generation}, "evaluated": '
+                 f'{8 * (generation + 1)}, "skipped": 0, "frontier": '
+                 + _PARENT_FRONTIER + "}")
+    for generation in (0, 1)
+}
+
+#: sha256 of that job's artifact, run serially before the hand-over.
+PARENT_ARTIFACT_SHA256 = \
+    "6275b752ea4fa6b71ab0c78732561a71a639e78c21d69b644c3ad353d5062c8c"
+
+
 def exhaustive_spec(chunk_size=5):
     return JobSpec.optimize(ceas=256.0, budget=2.0,
                             strategy="exhaustive", space=TINY_SPACE,
@@ -59,6 +103,30 @@ def exhaustive_spec(chunk_size=5):
 
 def run_once(worker):
     worker.run_forever(threading.Event(), once=True)
+
+
+def counting_evaluations(monkeypatch):
+    """Count configurations the optimizer evaluates, per chunk index
+    as the worker executes them; returns (counts, executor)."""
+    from repro.optimize import search
+
+    total = [0]
+    evaluate = search._evaluate_configs
+
+    def counting(model, params, configs):
+        total[0] += len(configs)
+        return evaluate(model, params, configs)
+
+    monkeypatch.setattr(search, "_evaluate_configs", counting)
+    counts = {}
+
+    def executor(run_spec, index, previous):
+        before = total[0]
+        payload = execute_chunk(run_spec, index, previous)
+        counts[index] = total[0] - before
+        return payload
+
+    return counts, executor
 
 
 def wait_for(predicate, *, timeout=30.0, interval=0.05):
@@ -154,14 +222,59 @@ class TestInProcess:
                          json.dumps(execute_chunk(spec, 0)))
         executed = []
 
-        def recording(run_spec, index):
+        def recording(run_spec, index, previous):
             executed.append(index)
-            return execute_chunk(run_spec, index)
+            return execute_chunk(run_spec, index, previous)
 
         run_once(Worker(store, worker_id="w1", execute_chunk=recording))
         record = store.get(job.id)
         assert record.status == SUCCEEDED
         assert executed == [1, 2, 3, 4]
+        assert record.result_text == encode_artifact(serial_artifact(spec))
+
+    def test_every_chunk_evaluates_one_population(self, tmp_path,
+                                                  monkeypatch):
+        """Each chunk continues from its predecessor's checkpoint, so
+        every generation costs one population of evaluations, whatever
+        its index — on a fresh run and after a resume alike."""
+        spec = evolutionary_spec(generations=12)
+        store = JobStore(tmp_path)
+        job = store.submit(spec, chunks_total=chunk_count(spec))
+        counts, executor = counting_evaluations(monkeypatch)
+        stop = threading.Event()
+
+        def stop_after_fifth(run_spec, index, previous):
+            if index == 4:
+                stop.set()
+            return executor(run_spec, index, previous)
+
+        Worker(store, worker_id="w1",
+               execute_chunk=stop_after_fifth).run_forever(stop, once=True)
+        assert store.get(job.id).chunks_done == 5
+        run_once(Worker(store, worker_id="w2", execute_chunk=executor))
+        record = store.get(job.id)
+        assert record.status == SUCCEEDED
+        assert counts == {index: 8 for index in range(12)}
+        assert record.result_text == encode_artifact(serial_artifact(spec))
+
+    def test_parent_format_checkpoints_resume_byte_identically(
+        self, tmp_path, monkeypatch
+    ):
+        """Checkpoints without the carried population: the next chunk
+        steps from generation 0, the ones after it continue, and the
+        artifact is the bytes the job had before the hand-over."""
+        spec = evolutionary_spec()
+        store = JobStore(tmp_path)
+        job = store.submit(spec, chunks_total=chunk_count(spec))
+        for index, text in PARENT_CHECKPOINTS.items():
+            store.checkpoint(job.id, index, text)
+        counts, executor = counting_evaluations(monkeypatch)
+        run_once(Worker(store, worker_id="w1", execute_chunk=executor))
+        record = store.get(job.id)
+        assert record.status == SUCCEEDED
+        assert counts == {2: 3 * 8, 3: 8, 4: 8}
+        assert hashlib.sha256(record.result_text.encode()).hexdigest() \
+            == PARENT_ARTIFACT_SHA256
         assert record.result_text == encode_artifact(serial_artifact(spec))
 
     def test_cancel_mid_search_stops_at_generation_boundary(
@@ -171,8 +284,8 @@ class TestInProcess:
         store = JobStore(tmp_path)
         job = store.submit(spec, chunks_total=chunk_count(spec))
 
-        def cancel_after_second(run_spec, index):
-            payload = execute_chunk(run_spec, index)
+        def cancel_after_second(run_spec, index, previous):
+            payload = execute_chunk(run_spec, index, previous)
             if index == 1:
                 store.request_cancel(job.id)
             return payload
@@ -198,9 +311,9 @@ class TestInProcess:
         store.request_cancel(job.id)
         executed = []
 
-        def recording(run_spec, index):
+        def recording(run_spec, index, previous):
             executed.append(index)
-            return execute_chunk(run_spec, index)
+            return execute_chunk(run_spec, index, previous)
 
         run_once(Worker(store, worker_id="w1", execute_chunk=recording))
         assert store.get(job.id).status == CANCELLED

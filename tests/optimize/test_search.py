@@ -174,15 +174,32 @@ class TestEvolutionary:
         assert [snap["generation"] for snap in snapshots] == [0, 1, 2, 3]
 
     def test_replay_from_any_generation_matches(self):
-        """Chunk k recomputes generations 0..k — executing chunk 3 cold
-        must equal executing chunks 0,1,2,3 in sequence (what a
-        crash-resumed worker relies on)."""
+        """Chunk k without a predecessor replays generations 0..k; it
+        must equal chunk k continued from chunks 0..k-1 handed over
+        through JSON (what a crash-resumed worker relies on)."""
         params = self.evo_params()
-        sequential = [execute_optimize_chunk(params, index)
-                      for index in range(4)]
+        previous = None
+        for index in range(4):
+            continued = execute_optimize_chunk(params, index, previous)
+            previous = json.loads(json.dumps(continued))
         cold = execute_optimize_chunk(params, 3)
         assert json.dumps(cold, sort_keys=True) == \
-            json.dumps(sequential[-1], sort_keys=True)
+            json.dumps(continued, sort_keys=True)
+
+    def test_search_evaluates_one_population_per_generation(
+            self, monkeypatch):
+        from repro.optimize import search
+
+        sizes = []
+        evaluate = search._evaluate_configs
+
+        def counting(model, params, configs):
+            sizes.append(len(configs))
+            return evaluate(model, params, configs)
+
+        monkeypatch.setattr(search, "_evaluate_configs", counting)
+        run_search(self.evo_params(generations=10))
+        assert sizes == [8] * 10
 
     def test_artifact_records_evolution_request(self):
         artifact = run_search(self.evo_params())

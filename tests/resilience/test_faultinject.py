@@ -16,6 +16,7 @@ from repro.resilience.faultinject import (
     FaultyJobStore,
     SimulatedCrash,
     builtin_profile_names,
+    fault_wiring,
     faulty_execute_chunk,
     faulty_store,
     injector_from_env,
@@ -219,7 +220,7 @@ class TestWrappers:
         ))
         calls = []
 
-        def base(spec, index):
+        def base(spec, index, previous):
             calls.append(index)
             return {"index": index}
 
@@ -228,6 +229,20 @@ class TestWrappers:
             execute(None, 0)
         assert execute(None, 1) == {"index": 1}
         assert calls == [1]  # the crashed call never reached the base
+
+    def test_fault_wiring_wraps_store_and_executor_in_one_injector(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv(FAULT_PROFILE_ENV, "clock-skew")
+        injector, store, execute = fault_wiring("breaker-trip", tmp_path)
+        assert injector.profile.name == "breaker-trip"  # beats the env
+        assert isinstance(store, FaultyJobStore)
+        assert store._injector is injector
+        passed, store, _ = fault_wiring(injector, tmp_path)
+        assert passed is injector and store._injector is injector
+        assert fault_wiring(None)[0].profile.name == "clock-skew"
+        with pytest.raises(SimulatedCrash):
+            fault_wiring(FaultInjector(profile(FaultRule(
+                target="worker.chunk", action="crash"))))[2](None, 0)
 
 
 def test_plain_store_unaffected(tmp_path):

@@ -135,6 +135,20 @@ class TestAdmission:
             "GET", "/metrics", b"").body.decode("utf-8")
         assert 'resilience_shed_total{reason="queue_full"} 1' in rendered
 
+    def test_job_submissions_shed_on_every_route(self, saturated):
+        """A job posted to ``/v1/jobs`` takes an admission slot just as
+        the same search posted to its ``/v1/optimize`` alias does."""
+        search = {"ceas": 256.0, "strategy": "evolutionary",
+                  "generations": 2, "population": 4}
+        for path, body in (("/v1/optimize", search),
+                           ("/v1/jobs", dict(search, kind="optimize"))):
+            response = saturated.dispatch(
+                "POST", path, json.dumps(body).encode("utf-8"))
+            assert response.status == 429, path
+            assert body_of(response)["error"]["detail"]["reason"] == \
+                "queue_full"
+        assert saturated.job_manager.list_jobs() == []
+
     def test_healthz_reports_admission_snapshot(self, saturated):
         payload = body_of(saturated.dispatch("GET", "/healthz", b""))
         admission = payload["resilience"]["admission"]
@@ -200,6 +214,11 @@ class TestBreaker:
 class TestRouteCost:
     def test_expensive_routes(self, service):
         assert service.route_cost("POST", "/v1/sweep") == EXPENSIVE
+
+    def test_job_submit_routes_share_one_cost(self, service):
+        costs = {path: service.route_cost("POST", path)
+                 for path in ("/v1/jobs", "/v1/optimize", "/v1/traces")}
+        assert set(costs.values()) == {EXPENSIVE}, costs
 
     def test_cheap_routes(self, service):
         for method, path in (("GET", "/healthz"), ("GET", "/metrics"),

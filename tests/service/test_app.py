@@ -191,9 +191,6 @@ class TestMetricsEndpoint:
             "service_inflight_requests",
             "service_response_cache_hits_total",
             "service_response_cache_hit_rate",
-            "solve_memo_hits_total",
-            "solve_memo_size",
-            "solve_memo_hit_rate",
         ):
             assert family in text, family
 

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.core import memo, vectorized
+from repro.core import vectorized
 from repro.experiments import experiment_ids
 from repro.jobs.executor import (
     chunk_count,
@@ -36,22 +36,16 @@ ALL_IDS = experiment_ids()
 @pytest.fixture(scope="module")
 def forced_sweep():
     """Full-registry serial results with every solve forced through the
-    batch kernel.
-
-    The memo is cleared first: earlier fixtures in the same process have
-    warmed the global cache with scalar-solved entries, which would let
-    forced mode return cached results without ever running the kernel.
-    """
+    batch kernel (no cache sits in front of the solve, so no earlier
+    scalar-solved answer can stand in for the kernel's)."""
     from repro.experiments.engine import SweepEngine
 
     previous = vectorized.mode()
     vectorized.configure("force")
-    memo.clear_cache()
     try:
         sweep = SweepEngine(max_workers=1).run()
     finally:
         vectorized.configure(previous)
-        memo.clear_cache()
     return sweep
 
 
@@ -91,14 +85,12 @@ class TestJobsPathVectorized:
     def run_spec(self, spec, mode_name):
         previous = vectorized.mode()
         vectorized.configure(mode_name)
-        memo.clear_cache()
         try:
             chunks = [execute_chunk(spec, index)
                       for index in range(chunk_count(spec))]
             artifact = encode_artifact(serial_artifact(spec))
         finally:
             vectorized.configure(previous)
-            memo.clear_cache()
         return chunks, artifact
 
     def test_checkpointed_chunks_byte_identical(self):
