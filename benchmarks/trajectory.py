@@ -3,10 +3,11 @@
 Produces ``BENCH_<n>.json`` artifacts that pin the repository's
 performance story over time:
 
-* **calibration** — scalar solves/sec on a tiny fixed grid.  A pure
-  machine-speed proxy: dividing wall-times by it yields
-  machine-independent "work units" so artifacts recorded on different
-  hardware stay comparable.
+* **calibration** — passes/sec of a fixed standard-library reference
+  loop that never imports ``repro``.  A pure machine-speed proxy:
+  dividing wall-times by it yields machine-independent "work units" so
+  artifacts recorded on different hardware stay comparable, and no
+  change to the code under test moves it.
 * **solver** — scalar vs vectorized solves/sec on the fig-1 sweep grid
   (a dense die x budget grid swept across Figure 1's fitted alphas,
   0.25–0.62).  The headline number is the speedup.
@@ -34,7 +35,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/trajectory.py --output new.json
     PYTHONPATH=src python benchmarks/trajectory.py \\
-        --gate new.json --against BENCH_11.json --threshold 0.15
+        --gate new.json --against BENCH_12.json --threshold 0.15
 
 When ``--against`` names a file that does not exist yet the gate is
 skipped with a note instead of failing — the first run on a branch has
@@ -70,6 +71,9 @@ DEFAULT_THRESHOLD = 0.15
 #: Timed rounds behind each gated in-process metric (see :func:`_rounds`).
 ROUNDS = 5
 
+#: Iterations of one calibration pass; about 7 ms on a 2-vCPU host.
+REFERENCE_ITERATIONS = 32_000
+
 
 # ----------------------------------------------------------------------
 # Measurement sections
@@ -103,25 +107,29 @@ def _fig1_grid():
     return pairs
 
 
-def _scalar_rate(best_of: int = 5) -> float:
-    """Scalar solves/sec on a small fixed grid — the machine-speed
-    proxy every ``normalized_work`` metric divides through."""
-    from repro.core.area import ChipDesign
-    from repro.core.scaling import BandwidthWallModel
-    from repro.core.techniques import NEUTRAL_EFFECT
+def _reference_loop(n: int) -> int:
+    """Integer arithmetic over a 256-slot table: interpreter speed with
+    a working set that stays in the core's own caches.  The same loop
+    as ``wallbench/hostspeed.py``, kept apart from it."""
+    table = [0] * 256
+    acc = 0
+    for _ in range(n):
+        acc = (acc * 1103515245 + 12345) & 0xFFFFFFFF
+        table[acc & 255] += 1
+    return acc + table[0]
 
-    model = BandwidthWallModel(ChipDesign(16, 8), alpha=0.5)
-    queries = [(16.0 + i, 0.5 + 0.01 * i, NEUTRAL_EFFECT)
-               for i in range(500)]
-    for query in queries[:50]:  # warm-up
-        model.solve_point(*query)
+
+def _calibration_rate(best_of: int = 5) -> float:
+    """Reference-loop passes/sec — the machine-speed proxy every
+    ``normalized_work`` metric divides through.  It imports nothing of
+    ``repro``, so a change to the solver cannot rescale the metrics."""
+    _reference_loop(REFERENCE_ITERATIONS // 8)  # warm-up
     elapsed = math.inf
     for _ in range(best_of):
         start = time.perf_counter()
-        for query in queries:
-            model.solve_point(*query)
+        _reference_loop(REFERENCE_ITERATIONS)
         elapsed = min(elapsed, time.perf_counter() - start)
-    return len(queries) / elapsed
+    return 1.0 / elapsed
 
 
 def _rounds(measure: Callable[[], float]) -> Tuple[float, float]:
@@ -129,24 +137,24 @@ def _rounds(measure: Callable[[], float]) -> Tuple[float, float]:
     of those seconds times the calibration rate averaged over the passes
     right before and after each round.
 
-    On shared hosts machine speed swings within a second (the
+    On shared hosts machine speed swings within a second (a scalar-solve
     calibration read 10k-18k solves/s on consecutive passes of one
     process on a 2-vCPU host, timed by wall clock or by CPU time alike),
     and pure-Python and numpy-bound work do not slow by the same factor.
     So a single round, however its timings are bracketed, can divide a
     fast timing by a slow rate; the median over rounds does not.
     """
-    rates = [_scalar_rate(best_of=3)]
+    rates = [_calibration_rate(best_of=3)]
     seconds, work = [], []
     for _ in range(ROUNDS):
         seconds.append(measure())
-        rates.append(_scalar_rate(best_of=3))
+        rates.append(_calibration_rate(best_of=3))
         work.append(seconds[-1] * (rates[-2] + rates[-1]) / 2.0)
     return statistics.median(seconds), statistics.median(work)
 
 
 def measure_calibration() -> Dict[str, Any]:
-    return {"scalar_solves_per_sec": round(_scalar_rate(), 1)}
+    return {"reference_loops_per_sec": round(_calibration_rate(), 2)}
 
 
 def measure_solver() -> Dict[str, Any]:
@@ -208,8 +216,8 @@ def _sweep_seconds(experiment_id: str) -> float:
 def measure_sweeps() -> Dict[str, Any]:
     """Wall time of representative experiment ids, serial engine path.
 
-    ``normalized_work`` is seconds multiplied by the calibration solve
-    rate — roughly "how many calibration solves this sweep is worth" —
+    ``normalized_work`` is seconds multiplied by the calibration rate —
+    roughly "how many reference-loop passes this sweep is worth" —
     which is what the gate compares across machines.  The rate is
     sampled immediately before and after *each* round of each sweep
     (not once per artifact; see :func:`_rounds`).
@@ -219,7 +227,7 @@ def measure_sweeps() -> Dict[str, Any]:
         seconds, work = _rounds(lambda: _sweep_seconds(experiment_id))
         section[experiment_id] = {
             "seconds": round(seconds, 4),
-            "normalized_work": round(work, 1),
+            "normalized_work": round(work, 3),
         }
     return section
 

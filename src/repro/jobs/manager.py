@@ -6,6 +6,12 @@ The service embeds a :class:`JobManager`: submissions from
 manager's :meth:`stats` feed ``/healthz`` (queue depth, worker
 liveness) and the ``jobs_*`` metric families.
 
+Idle workers wake on submit: :meth:`JobManager.submit` wakes one of
+them right after the store commits, so a job starts without waiting
+out a store poll.  The poll stays as the fallback for what no submit
+announces: a retry's backoff gate opening, an expired lease, a job
+submitted by another process.
+
 ``stop()`` is the SIGTERM-drain half of the contract: it sets the
 shared stop event, each worker finishes (and checkpoints) its current
 chunk, releases its lease, and the threads join — so a restart resumes
@@ -25,7 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from . import executor
 from .spec import DEFAULT_MAX_ATTEMPTS, JobSpec
 from .store import JobRecord
-from .worker import Worker
+from .worker import SubmitSignal, Worker
 
 __all__ = ["JobManager"]
 
@@ -56,6 +62,7 @@ class JobManager:
                                                     state_dir)
         self.workers = workers
         self._stop = threading.Event()
+        self._submitted = SubmitSignal()
         self._stopped = False
         self._threads: List[threading.Thread] = []
         self._pool = [
@@ -66,6 +73,7 @@ class JobManager:
                 poll_interval=poll_interval,
                 on_chunk=on_chunk,
                 execute_chunk=execute_chunk,
+                wake=self._submitted,
             )
             for index in range(workers)
         ]
@@ -93,6 +101,7 @@ class JobManager:
         """
         self._stopped = True
         self._stop.set()
+        self._submitted.notify(everyone=True)
         limit = time.monotonic() + max(deadline, 0.0)
         for thread in self._threads:
             thread.join(timeout=max(0.05, limit - time.monotonic()))
@@ -102,11 +111,13 @@ class JobManager:
 
     def submit(self, spec: JobSpec, *,
                max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> JobRecord:
-        return self.store.submit(
+        record = self.store.submit(
             spec,
             chunks_total=executor.chunk_count(spec),
             max_attempts=max_attempts,
         )
+        self._submitted.notify()
+        return record
 
     def get(self, job_id: str) -> Optional[JobRecord]:
         return self.store.get(job_id)

@@ -30,7 +30,7 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..optimize.search import OptimizeParams
@@ -43,6 +43,7 @@ __all__ = [
     "KINDS",
     "DEFAULT_EXPERIMENT_CHUNK",
     "DEFAULT_SWEEP_CHUNK",
+    "STORED_ZERO_CHUNK",
     "DEFAULT_MAX_ATTEMPTS",
     "GOLDEN_SCHEMA_VERSION",
 ]
@@ -51,9 +52,17 @@ __all__ = [
 #: so a crash mid-registry loses at most one experiment's work.
 DEFAULT_EXPERIMENT_CHUNK = 1
 
-#: Grid points per sweep chunk; single solves are ~10µs, so a chunk is
-#: still sub-millisecond of work but keeps checkpoint traffic bounded.
-DEFAULT_SWEEP_CHUNK = 64
+#: Grid points per sweep chunk: one kernel batch
+#: (``engine._BATCH_STRIDE``), a few milliseconds of solving, so a
+#: 900-point grid runs as 4 chunks and commits 4 checkpoints.
+DEFAULT_SWEEP_CHUNK = 256
+
+#: What a stored ``chunk_size`` of 0 means, per kind whose default has
+#: changed since such specs were stored.  A sweep stored with 0 was
+#: planned at 64 points, and its ``chunks_total`` and checkpoints still
+#: are; a new sweep is stored with its chunk size written out
+#: (:meth:`JobSpec.for_store`).
+STORED_ZERO_CHUNK = {"sweep": 64}
 
 #: Execution attempts before a job is marked failed for good.
 DEFAULT_MAX_ATTEMPTS = 3
@@ -169,15 +178,21 @@ class SweepParams:
 
     def rows(self, start: int = 0,
              stop: Optional[int] = None) -> List[Dict[str, Any]]:
-        """Solve the grid points ``[start:stop]``, in grid order."""
+        """Solve the grid points ``[start:stop]``, in grid order.
+
+        Builds only the slice's points: point ``i`` is
+        ``(ceas[i // len(budgets)], budgets[i % len(budgets)])``.
+        """
         from ..experiments.engine import GridPoint, sweep_grid
 
         model, effect, _ = self._model_and_effect()
+        indices = range(*slice(start, stop).indices(self.num_points))
         points = [
-            GridPoint(total_ceas=ceas, traffic_budget=budget, effect=effect)
-            for ceas in self.ceas
-            for budget in self.budgets
-        ][start:stop]
+            GridPoint(total_ceas=self.ceas[row],
+                      traffic_budget=self.budgets[column], effect=effect)
+            for row, column in (divmod(index, len(self.budgets))
+                                for index in indices)
+        ]
         solutions = sweep_grid(model, points)
         return [
             {
@@ -350,6 +365,23 @@ class JobSpec:
             )
         return cls(kind, KINDS[kind].from_dict(payload),
                    chunk_size=int(payload.get("chunk_size", 0)))
+
+    def for_store(self) -> "JobSpec":
+        """This spec as the store keeps it: a kind whose stored 0 reads
+        back as an old default (:data:`STORED_ZERO_CHUNK`) has its
+        chunk size written out; any other spec is kept as it is."""
+        if self.chunk_size or self.kind not in STORED_ZERO_CHUNK:
+            return self
+        return replace(self, chunk_size=self.params.default_chunk)
+
+    @classmethod
+    def from_stored(cls, payload: Dict[str, Any]) -> "JobSpec":
+        """Inverse of :meth:`for_store`: a stored spec, planned as it
+        was planned when it was stored."""
+        spec = cls.from_dict(payload)
+        if spec.chunk_size or spec.kind not in STORED_ZERO_CHUNK:
+            return spec
+        return replace(spec, chunk_size=STORED_ZERO_CHUNK[spec.kind])
 
     # -- planning helpers ----------------------------------------------
 

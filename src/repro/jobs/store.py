@@ -130,7 +130,7 @@ class JobRecord:
         return min(1.0, self.chunks_done / self.chunks_total)
 
     def job_spec(self) -> JobSpec:
-        return JobSpec.from_dict(self.spec)
+        return JobSpec.from_stored(self.spec)
 
 
 class JobStore:
@@ -168,6 +168,13 @@ class JobStore:
         if conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
             conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
+        # Every thread holds its own connection, and each one's page
+        # cache (2000 KiB by default) is emptied whenever another
+        # connection has written since its last read, then filled again.
+        # 256 KiB still holds one 900-point sweep artifact; with the
+        # default, the service's peak RSS ran about 12 MB higher under a
+        # job load.
+        conn.execute("PRAGMA cache_size=-256")
         return conn
 
     @contextlib.contextmanager
@@ -216,7 +223,11 @@ class JobStore:
     def submit(self, spec: JobSpec, *, chunks_total: int,
                max_attempts: int = 3,
                job_id: Optional[str] = None) -> JobRecord:
-        """Enqueue one job; returns its freshly-queued record."""
+        """Enqueue one job; returns its freshly-queued record.
+
+        The row keeps :meth:`~repro.jobs.spec.JobSpec.for_store`, which
+        plans the same ``chunks_total`` as ``spec`` itself.
+        """
         if chunks_total <= 0:
             raise ValueError(
                 f"chunks_total must be positive, got {chunks_total}"
@@ -234,8 +245,8 @@ class JobStore:
                 " chunks_total, created_at, seq)"
                 " VALUES (?, ?, ?, ?, ?, ?, ?,"
                 " (SELECT COALESCE(MAX(seq), 0) + 1 FROM jobs))",
-                (job_id, spec.kind, json.dumps(spec.to_dict()), QUEUED,
-                 max_attempts, chunks_total, now),
+                (job_id, spec.kind, json.dumps(spec.for_store().to_dict()),
+                 QUEUED, max_attempts, chunks_total, now),
             )
             return self._get(conn, job_id)
 

@@ -52,10 +52,46 @@ from . import executor as executor_mod
 from .spec import JobSpec
 from .store import CANCELLED, FAILED, SUCCEEDED, JobRecord, JobStore
 
-__all__ = ["Worker", "main"]
+__all__ = ["SubmitSignal", "Worker", "main"]
 
 CHUNK_SLEEP_ENV = "REPRO_JOBS_TEST_CHUNK_SLEEP"
 CHUNK_LOG_ENV = "REPRO_JOBS_TEST_CHUNK_LOG"
+
+
+class SubmitSignal:
+    """Wakes idle in-process workers when a job is submitted.
+
+    A submit counter under a condition.  A worker reads :meth:`count`
+    before it tries to lease, and after an empty lease :meth:`wait`
+    returns as soon as the counter has moved past that reading, so a
+    submit that lands between the empty lease and the wait is not
+    lost.  Unlike a semaphore, nothing accumulates while no worker
+    waits (``workers=0``).
+    """
+
+    def __init__(self) -> None:
+        self._condition = threading.Condition()
+        self._count = 0
+
+    def count(self) -> int:
+        with self._condition:
+            return self._count
+
+    def notify(self, *, everyone: bool = False) -> None:
+        with self._condition:
+            self._count += 1
+            if everyone:
+                self._condition.notify_all()
+            else:
+                self._condition.notify()
+
+    def wait(self, seen: int, stop: threading.Event,
+             timeout: float) -> None:
+        """Sleep up to ``timeout`` s, until a submit after ``seen`` or
+        a set ``stop`` (whose setter must :meth:`notify` everyone)."""
+        with self._condition:
+            self._condition.wait_for(
+                lambda: self._count != seen or stop.is_set(), timeout)
 
 
 class Worker:
@@ -72,6 +108,10 @@ class Worker:
         longest single chunk; the worker renews after every chunk.
     poll_interval:
         Idle sleep between lease attempts when the queue is empty.
+    wake:
+        A :class:`SubmitSignal` that ends the idle sleep early when a
+        job is submitted in this process (the service's pool); without
+        one the worker only polls (standalone processes and fleets).
     backoff_base / backoff_cap / backoff_jitter:
         Retry delay after the n-th failure is
         ``min(cap, base * 2**(n-1)) * (1 + jitter * U[0, 1))``.
@@ -100,6 +140,7 @@ class Worker:
             Callable[[JobSpec, int, Optional[dict]], dict]] = None,
         on_chunk: Optional[Callable[[float], None]] = None,
         rng: Optional[random.Random] = None,
+        wake: Optional[SubmitSignal] = None,
     ) -> None:
         self.store = store
         self._worker_id_base = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
@@ -112,6 +153,7 @@ class Worker:
         self._execute_chunk = execute_chunk or executor_mod.execute_chunk
         self._on_chunk = on_chunk
         self._rng = rng or random.Random()
+        self._wake = wake
 
     @property
     def worker_id(self) -> str:
@@ -140,6 +182,7 @@ class Worker:
         one-shot CLI workers.
         """
         while not stop.is_set():
+            seen = self._wake.count() if self._wake is not None else 0
             # Store faults (a locked sqlite file, a failing disk, an
             # injected chaos profile) must cost this worker one poll
             # interval, not its life: a dead thread shrinks the pool
@@ -156,7 +199,10 @@ class Worker:
             if job is None:
                 if once:
                     return
-                stop.wait(self.poll_interval)
+                if self._wake is not None:
+                    self._wake.wait(seen, stop, self.poll_interval)
+                else:
+                    stop.wait(self.poll_interval)
                 continue
             try:
                 self.execute_job(job, stop)

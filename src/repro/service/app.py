@@ -49,7 +49,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from ..analysis.export import dumps_strict, strict_jsonable
+from ..analysis.export import dumps_strict
 from ..core.scenario import scenario_payload, solve_scenario
 from ..jobs import KINDS, JobManager, JobRecord
 from ..jobs.store import FAILED, STATUSES, SUCCEEDED
@@ -398,7 +398,7 @@ class BandwidthWallService:
         self.jobs_budgeted = registry.counter(
             "jobs_budgeted_units_total",
             "Work units budgeted by accepted jobs, by kind: experiments, "
-            "grid points, design-point evaluations or simulated accesses.",
+            "grid points, design-point evaluations or trace access passes.",
             ("kind",),
         )
         self.jobs_chunk_latency = registry.histogram(
@@ -794,10 +794,8 @@ class BandwidthWallService:
         if include_result and record.status == SUCCEEDED \
                 and record.result_text is not None:
             # The stored artifact is golden-encoded (bare NaN allowed);
-            # strictify here so the HTTP payload stays valid JSON.
-            payload["result"] = strict_jsonable(
-                json.loads(record.result_text)
-            )
+            # _json_response strictifies it with the rest of the payload.
+            payload["result"] = json.loads(record.result_text)
         return payload
 
     # -- helpers -------------------------------------------------------

@@ -65,9 +65,10 @@ MAX_OPTIMIZE_EVALUATIONS = 20_000
 MAX_OPTIMIZE_GENERATIONS = 200
 MAX_OPTIMIZE_POPULATION = 256
 
-#: Bounds on trace jobs: total simulated accesses an accepted request
-#: may cost (``sharing`` units scale with their core count), plus
-#: per-knob caps keeping one job's memory and latency bounded.
+#: Bounds on trace jobs: the access passes an accepted request may cost
+#: (``TraceParams.cost()``: ``sharing`` units scale with their core
+#: count, a cross-check adds one pass per capacity), plus per-knob caps
+#: keeping one job's memory and latency bounded.
 MAX_TRACE_ACCESSES = 2_000_000
 MAX_TRACE_UNITS = 16
 MAX_TRACE_CAPACITIES = 64
@@ -519,9 +520,10 @@ def validate_trace_request(payload: Any) -> TraceParams:
     """A trace job's fields, resolved into :class:`TraceParams`.
 
     Only synthetic sources are accepted over HTTP — ``file`` traces
-    would make the service read server-side paths.  The job's total
-    simulated-access cost (``sharing`` units scale with their core
-    count) is capped at :data:`MAX_TRACE_ACCESSES`.
+    would make the service read server-side paths.  The job's cost in
+    access passes (``sharing`` units scale with their core count, and a
+    cross-check at ``associativity`` adds one pass per capacity) is
+    capped at :data:`MAX_TRACE_ACCESSES`.
     """
     from ..traces.synthesis import SYNTHETIC_SOURCES
 
@@ -587,12 +589,13 @@ def validate_trace_request(payload: Any) -> TraceParams:
         )
     except ValueError as error:
         raise ValidationError([FieldError("$", str(error))])
-    if params.total_accesses > MAX_TRACE_ACCESSES:
+    if params.cost() > MAX_TRACE_ACCESSES:
         raise ValidationError([FieldError(
             "accesses",
-            f"simulation too large: {params.total_accesses} total "
-            f"accesses > {MAX_TRACE_ACCESSES} (sharing units multiply "
-            f"accesses by their core count)",
+            f"simulation too large: {params.cost()} access passes > "
+            f"{MAX_TRACE_ACCESSES} (sharing units multiply accesses by "
+            f"their core count; associativity adds one pass per "
+            f"capacity)",
         )])
     return params
 

@@ -223,8 +223,8 @@ class TraceParams:
 
     @property
     def total_accesses(self) -> int:
-        """Admission-control cost: accesses simulated across all units
-        (``sharing`` units scale with their core count)."""
+        """Accesses simulated across all units (``sharing`` units
+        scale with their core count)."""
         if self.source == "sharing":
             return sum(self.accesses * int(unit) for unit in self.units)
         return self.accesses * len(self.units)
@@ -253,7 +253,11 @@ class TraceParams:
         return assemble_trace_artifact(self, payloads)
 
     def cost(self) -> int:
-        return self.total_accesses
+        """Admission-control cost: accesses times the passes made over
+        each unit's trace — one profiling pass, plus one per capacity
+        when ``associativity`` asks for the cross-check."""
+        passes = 1 + len(self.line_counts) if self.associativity > 0 else 1
+        return self.total_accesses * passes
 
 
 # ----------------------------------------------------------------------

@@ -4,14 +4,21 @@ import json
 
 import pytest
 
-from repro.jobs.executor import chunk_count, execute_chunk
+from repro.jobs.executor import (
+    chunk_count,
+    encode_artifact,
+    execute_chunk,
+    serial_artifact,
+)
 from repro.jobs.spec import (
     DEFAULT_EXPERIMENT_CHUNK,
     DEFAULT_SWEEP_CHUNK,
     KINDS,
     ExperimentsParams,
     JobSpec,
+    SweepParams,
 )
+from repro.jobs.store import JobStore
 from repro.service.validation import VALIDATORS
 
 TINY_SPACE = {
@@ -116,6 +123,36 @@ class TestSerialisation:
         with pytest.raises(ValueError, match="mapping"):
             JobSpec.from_dict([1, 2])
 
+    @pytest.mark.parametrize("build, stored", STORED,
+                             ids=[kind for kind in KINDS])
+    def test_store_round_trips_every_stored_form(self, tmp_path, build,
+                                                 stored):
+        spec = build()
+        record = JobStore(tmp_path).submit(spec,
+                                           chunks_total=chunk_count(spec))
+        assert json.dumps(record.spec) == stored
+        assert record.job_spec() == spec
+
+    def test_new_sweep_is_stored_with_its_chunk_size(self, tmp_path):
+        spec = JobSpec.sweep(ceas=range(30), budgets=range(1, 31))
+        record = JobStore(tmp_path).submit(spec,
+                                           chunks_total=chunk_count(spec))
+        assert record.spec["chunk_size"] == DEFAULT_SWEEP_CHUNK
+        assert chunk_count(record.job_spec()) == record.chunks_total == 4
+
+    def test_stored_sweep_zero_means_64_points(self):
+        stored = JobSpec.sweep(ceas=[16.0], chunk_size=0).to_dict()
+        assert JobSpec.from_stored(stored).effective_chunk_size == 64
+        assert JobSpec.from_dict(stored).effective_chunk_size == \
+            DEFAULT_SWEEP_CHUNK
+
+    def test_stored_zero_of_other_kinds_keeps_their_default(self):
+        for build, stored in STORED:
+            payload = dict(json.loads(stored), chunk_size=0)
+            if payload["kind"] != "sweep":
+                assert JobSpec.from_stored(payload) == \
+                    JobSpec.from_dict(payload)
+
 
 def chunk_ids(spec):
     return [[entry["experiment_id"]
@@ -151,6 +188,35 @@ class TestPlanning:
         again = JobSpec.from_dict(spec.to_dict())
         assert chunk_count(again) == chunk_count(spec)
         assert execute_chunk(again, 1) == execute_chunk(spec, 1)
+
+    def test_sweep_default_chunk_is_one_kernel_batch(self):
+        from repro.experiments.engine import _BATCH_STRIDE
+
+        assert DEFAULT_SWEEP_CHUNK == _BATCH_STRIDE
+        assert chunk_count(JobSpec.sweep(ceas=range(30),
+                                         budgets=range(1, 31))) == 4
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 256, 300])
+    def test_sweep_artifact_bytes_do_not_depend_on_chunk_size(
+            self, chunk_size):
+        grid = dict(ceas=[16.0 + 8.0 * i for i in range(30)],
+                    budgets=[0.5 + 0.25 * j for j in range(10)],
+                    alpha=0.4, techniques=["CC=2", "DRAM=4"])
+        whole = JobSpec.sweep(**grid, chunk_size=300)
+        assert chunk_count(whole) == 1
+        spec = JobSpec.sweep(**grid, chunk_size=chunk_size)
+        assert encode_artifact(serial_artifact(spec)) == \
+            encode_artifact(serial_artifact(whole))
+
+    def test_sweep_rows_build_only_their_slice(self):
+        params = SweepParams(ceas=(16.0, 24.0, 32.0, 48.0, 64.0),
+                             budgets=(0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0),
+                             techniques=("LC=2",))
+        everything = params.rows()
+        assert len(everything) == 35
+        for start, stop in [(0, 35), (0, 6), (3, 17), (6, 8), (13, 14),
+                            (20, 35), (34, None), (29, 40), (9, 9)]:
+            assert params.rows(start, stop) == everything[start:stop]
 
     def test_execute_chunk_rejects_bad_index(self):
         spec = JobSpec.experiments(["fig13"])

@@ -16,6 +16,7 @@ import pytest
 from repro.jobs.executor import (
     chunk_count,
     encode_artifact,
+    execute_chunk,
     serial_artifact,
 )
 from repro.jobs.spec import JobSpec
@@ -206,3 +207,49 @@ class TestBadSpec:
         record = store.get(job.id)
         assert record.status == FAILED
         assert "unusable job spec" in record.error
+
+
+class TestSweepStoredWithChunkSizeZero:
+    """A sweep row stored before the store kept resolved chunk sizes:
+    ``chunk_size`` 0, ``chunks_total`` 15 and checkpoints written at
+    64 points.  It must resume at 64 points, not the current default."""
+
+    CEAS = [16.0 + 4.0 * i for i in range(30)]
+    BUDGETS = [round(0.5 + 0.1 * j, 3) for j in range(30)]
+
+    def stored_row(self, store):
+        spec_text = json.dumps({
+            "kind": "sweep", "chunk_size": 0, "ceas": self.CEAS,
+            "budgets": self.BUDGETS, "alpha": 0.45,
+            "techniques": ["DRAM=8"],
+        })
+        with store._connection() as conn:
+            conn.execute(
+                "INSERT INTO jobs (id, kind, spec, status, max_attempts,"
+                " chunks_total, created_at, seq)"
+                " VALUES ('legacy', 'sweep', ?, 'queued', 3, 15, 1.0, 1)",
+                (spec_text,))
+        at_64 = JobSpec.sweep(ceas=self.CEAS, budgets=self.BUDGETS,
+                              alpha=0.45, techniques=["DRAM=8"],
+                              chunk_size=64)
+        for index in range(5):
+            store.checkpoint("legacy", index,
+                             json.dumps(execute_chunk(at_64, index)))
+
+    def test_resumes_at_64_points_byte_identically(self, store):
+        self.stored_row(store)
+        executed = []
+
+        def recording(run_spec, index, previous):
+            executed.append((index, run_spec.effective_chunk_size))
+            return execute_chunk(run_spec, index, previous)
+
+        run_once(Worker(store, worker_id="w1", execute_chunk=recording))
+        record = store.get("legacy")
+        assert record.status == SUCCEEDED
+        assert record.chunks_done == 15
+        assert executed == [(index, 64) for index in range(5, 15)]
+        spec = JobSpec.sweep(ceas=self.CEAS, budgets=self.BUDGETS,
+                             alpha=0.45, techniques=["DRAM=8"])
+        assert record.result_text == \
+            encode_artifact(serial_artifact(spec))

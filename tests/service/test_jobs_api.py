@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.jobs.store import JobStore
+from repro.jobs.spec import JobSpec
+from repro.jobs.store import SUCCEEDED, JobStore
 from repro.service.app import (
     BandwidthWallService,
     ServiceConfig,
@@ -234,6 +235,67 @@ class TestQueuedAndCancel:
             assert done["result"]["count"] == len(CHEAP_IDS)
         finally:
             successor.drain_and_stop()
+
+
+class TestStrictResult:
+    def test_non_finite_artifact_values_render_strict(self, tmp_path):
+        """A finished job's GET body, byte for byte: the stored artifact
+        keeps bare NaN/Infinity tokens, the response spells them as
+        strict-JSON sentinels."""
+        service = BandwidthWallService(
+            ServiceConfig(state_dir=str(tmp_path), job_workers=0)
+        )
+        try:
+            store = service.job_manager.store
+            store.submit(JobSpec.experiments(["fig13"]), chunks_total=1,
+                         job_id="pinned")
+            store.finish("pinned", SUCCEEDED, result_text=json.dumps(
+                {"gain": [1.5, float("nan")], "wall": float("inf"),
+                 "floor": float("-inf")}, indent=1) + "\n")
+            with store._connection() as conn:
+                conn.execute("UPDATE jobs SET created_at = 1.0,"
+                             " finished_at = 2.5 WHERE id = 'pinned'")
+            response = service.dispatch("GET", "/v1/jobs/pinned", b"")
+        finally:
+            service.shutdown_jobs()
+        assert response.status == 200
+        assert response.body.decode("utf-8") == PINNED_BODY
+
+
+PINNED_BODY = """{
+  "id": "pinned",
+  "kind": "experiments",
+  "status": "succeeded",
+  "cancel_requested": false,
+  "spec": {
+    "kind": "experiments",
+    "chunk_size": 0,
+    "ids": [
+      "fig13"
+    ]
+  },
+  "progress": {
+    "chunks_done": 0,
+    "chunks_total": 1,
+    "fraction": 1.0
+  },
+  "attempts": 0,
+  "retries": 0,
+  "max_attempts": 3,
+  "created_at": 1.0,
+  "started_at": null,
+  "finished_at": 2.5,
+  "error": null,
+  "result": {
+    "gain": [
+      1.5,
+      null
+    ],
+    "wall": "Infinity",
+    "floor": "-Infinity"
+  }
+}
+"""
 
 
 class TestDraining:

@@ -103,6 +103,17 @@ class TestCost:
                                     accesses=1000)
         assert params.total_accesses == 20_000
 
+    def test_cost_counts_one_pass_without_cross_check(self):
+        params = TraceParams.create(source="sharing", units=[4, 16],
+                                    accesses=1000, line_counts=[8, 16])
+        assert params.cost() == params.total_accesses == 20_000
+
+    def test_cost_adds_one_pass_per_cross_checked_capacity(self):
+        params = TraceParams.create(source="powerlaw", units=[0.3, 0.5],
+                                    accesses=1000, line_counts=[8, 16, 32],
+                                    associativity=8)
+        assert params.cost() == 2000 * (1 + 3)
+
     def test_reference_line_count_is_curve_midpoint(self):
         params = TraceParams.create(source="powerlaw",
                                     line_counts=[16, 64, 256])

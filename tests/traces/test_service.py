@@ -11,6 +11,8 @@ import pytest
 
 from repro.service.app import ServiceConfig, start_service
 from repro.service.client import ServiceError
+from repro.service.errors import ValidationError
+from repro.service.validation import MAX_TRACE_ACCESSES, validate_job_request
 
 #: Small enough for sub-second turnaround, big enough for a sane fit.
 FAST = dict(source="powerlaw", units=[0.5], accesses=5000,
@@ -94,6 +96,32 @@ class TestLifecycle:
         client.wait_for_job(accepted["id"], timeout=60)
 
 
+#: One cross-checked unit at the access-pass cap's edge: 200k accesses
+#: times (1 profiling pass + one pass per capacity).
+CROSS_CHECKED = dict(source="powerlaw", units=[0.5], accesses=200_000,
+                     associativity=8)
+CAPACITIES = [2**k for k in range(3, 13)]
+
+
+class TestAccessPassCap:
+    """``cost()`` at the 2,000,000-pass cap: a 400 starts one pass over."""
+
+    def body(self, capacities):
+        return {"kind": "trace", **CROSS_CHECKED,
+                "line_counts": CAPACITIES[:capacities]}
+
+    def test_exactly_the_cap_is_accepted(self):
+        request = validate_job_request(self.body(9))
+        assert request.spec.params.cost() == MAX_TRACE_ACCESSES
+
+    def test_one_pass_more_is_rejected(self):
+        with pytest.raises(ValidationError) as excinfo:
+            validate_job_request(self.body(10))
+        assert [error.field for error in excinfo.value.errors] == \
+            ["accesses"]
+        assert "2200000 access passes" in excinfo.value.errors[0].message
+
+
 class TestValidation:
     def field_names(self, excinfo):
         assert excinfo.value.status == 400
@@ -123,6 +151,12 @@ class TestValidation:
         with pytest.raises(ServiceError) as excinfo:
             submit(client, source="sharing", units=[64])
         assert "accesses" in self.field_names(excinfo)
+
+    def test_cross_check_passes_over_the_cap_are_rejected(self, client):
+        # 200k accesses x (1 profiling pass + 10 capacities) = 2.2M
+        with pytest.raises(ServiceError) as excinfo:
+            submit(client, **CROSS_CHECKED, line_counts=CAPACITIES[:10])
+        assert self.field_names(excinfo) == {"accesses"}
 
     def test_line_bytes_must_be_power_of_two(self, client):
         with pytest.raises(ServiceError) as excinfo:
